@@ -280,9 +280,12 @@ def cmd_approximate(args: argparse.Namespace) -> int:
 @dataclass
 class CheckResult:
     name: str
-    passed: bool
-    deviation: float
+    passed: Optional[bool]  # None: not run, which fails nothing
+    deviation: Optional[float]
     note: str = ""
+
+
+_STATUS = {True: "PASS", False: "FAIL", None: "SKIP"}
 
 
 def _check_four_way(game, profile, rng, trials, inject_fault) -> CheckResult:
@@ -313,7 +316,7 @@ def _check_orthonormality(game, profile, rng) -> CheckResult:
 
 def _check_parseval(game, profile) -> CheckResult:
     if game.n > 12:
-        return CheckResult("parseval", True, 0.0, note="skipped: n > 12")
+        return CheckResult("parseval", None, None, note="n > 12")
     total = measure.inner_product(profile, game, game)
     coeffs = approx_mod.best_k_approximation(game, game.n, profile).fourier
     dev = abs(math.fsum(c * c for c in coeffs.values()) - total)
@@ -365,10 +368,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     out, close = _open_out(args.out)
     try:
         for check in checks:
-            status = "PASS" if check.passed else "FAIL"
             note = f"  [{check.note}]" if check.note else ""
-            out.write(f"{status}  {check.name:<20}  max deviation {check.deviation:.3e}{note}\n")
-        failed = [c.name for c in checks if not c.passed]
+            result = "not run" if check.passed is None else f"max deviation {check.deviation:.3e}"
+            out.write(f"{_STATUS[check.passed]}  {check.name:<20}  {result}{note}\n")
+        failed = [c.name for c in checks if c.passed is False]
         if failed:
             out.write(f"verification failed: {failed[0]}\n")
             return 2

@@ -38,14 +38,18 @@ def full_mask(n: int) -> Coalition:
 
 
 def check_players(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_PLAYERS:
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_PLAYERS:
         raise ValidationError(
             f"player count must be an integer in [1, {MAX_PLAYERS}], got {n!r}"
         )
 
 
 def check_mask(mask: Coalition, n: int) -> None:
-    if not isinstance(mask, (int, np.integer)) or not 0 <= mask < (1 << n):
+    if (
+        not isinstance(mask, (int, np.integer))
+        or isinstance(mask, bool)
+        or not 0 <= mask < (1 << n)
+    ):
         raise ValidationError(f"coalition mask {mask!r} is not a subset of N for n={n}")
 
 
@@ -158,6 +162,32 @@ def _mobius_inplace(v: np.ndarray, n: int) -> None:
     for i in range(n):
         pairs = v.reshape(-1, 2, 1 << i)
         pairs[:, 1, :] -= pairs[:, 0, :]
+
+
+def axis_map_inplace(
+    v: np.ndarray, maps: Sequence[tuple[float, float, float, float]]
+) -> None:
+    """Apply a 2x2 map on every axis of a contiguous 2**n table, in place.
+
+    ``maps[i] = (m00, m01, m10, m11)`` sends each pair (v0, v1) of entries
+    whose masks differ only in bit i to (m00 v0 + m01 v1, m10 v0 + m11 v1).
+    The n maps act on different axes and so commute; the whole pass costs
+    O(n 2**n).  Row 0 of the product is the value at masks without bit i,
+    row 1 at masks with it.
+    """
+    if v.shape != (1 << len(maps),) or not v.flags.c_contiguous:
+        raise ValidationError(
+            f"axis map needs a contiguous table of 2**{len(maps)} entries, got shape {v.shape}"
+        )
+    for i, (m00, m01, m10, m11) in enumerate(maps):
+        pairs = v.reshape(-1, 2, 1 << i)
+        v0 = pairs[:, 0, :]
+        v1 = pairs[:, 1, :]
+        row0 = m00 * v0
+        row0 += m01 * v1
+        v1 *= m11
+        v1 += m10 * v0
+        v0[...] = row0
 
 
 def mobius(f: PseudoBooleanFunction) -> MobiusRepresentation:

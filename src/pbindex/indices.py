@@ -14,8 +14,10 @@ whole point of the construction.
 
 Also here: the Shapley generalized value, the Ben-Or-Linial influence, the
 conversions between the two coefficient forms of a generalized value, the
-normalized (correlation) influence index, and reconstruction of a game from
-its full interaction table.
+normalized (correlation) influence index, reconstruction of a game from its
+full interaction table, and whole-lattice tables that give I, Phi and the
+Shapley value of all 2**n subsets from per-axis maps of the game table, for
+reports over many subsets.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .approx import best_s_approximation
 from .core import (
     Coalition,
     PseudoBooleanFunction,
+    axis_map_inplace,
     check_mask,
     full_mask,
     mobius,
@@ -49,6 +52,7 @@ from .measure import (
     _check_same_n,
     _fsum,
     covariance,
+    expectation,
     inner_product,
     variance,
 )
@@ -338,6 +342,14 @@ def g_std(S: Coalition, profile: ProbabilityProfile) -> float:
     return math.sqrt(inv_p + inv_q)
 
 
+def _correlation(cov: float, sigma_f: float, sigma_g: float) -> float:
+    # r = cov(f, g_{S,p}) / (sigma_f sigma(g_{S,p})), checked and clamped to [-1, 1]
+    r = cov / (sigma_f * sigma_g)
+    if abs(r) > 1.0 + 1e-12:
+        raise PbindexError(f"correlation bound violated: |r| = {abs(r)!r} > 1 + 1e-12")
+    return min(1.0, max(-1.0, r))
+
+
 def normalized_influence(
     f: PseudoBooleanFunction, S: Coalition, profile: ProbabilityProfile
 ) -> float:
@@ -354,10 +366,8 @@ def normalized_influence(
     sigma_f = math.sqrt(variance(profile, f))
     if sigma_f <= DEGENERACY_EPS:
         raise DegenerateFunction(f"sigma(f) = {sigma_f:.3e} is numerically zero")
-    r = covariance(profile, f, g_function(S, profile)) / (sigma_f * g_std(S, profile))
-    if abs(r) > 1.0 + 1e-12:
-        raise PbindexError(f"correlation bound violated: |r| = {abs(r)!r} > 1 + 1e-12")
-    return min(1.0, max(-1.0, r))
+    cov = covariance(profile, f, g_function(S, profile))
+    return _correlation(cov, sigma_f, g_std(S, profile))
 
 
 def taylor_reconstruct(
@@ -384,21 +394,60 @@ def taylor_reconstruct(
             raise IncompleteTable(
                 f"interaction table needs {size} entries, got shape {work.shape}"
             )
-    for i in range(n):  # evaluate the shifted-product polynomial on vertices
-        pairs = work.reshape(-1, 2, 1 << i)
-        without = pairs[:, 0, :].copy()
-        with_i = pairs[:, 1, :].copy()
-        pairs[:, 0, :] = without + with_i * (0.0 - profile.p[i])
-        pairs[:, 1, :] = without + with_i * (1.0 - profile.p[i])
+    # evaluate the shifted-product polynomial on vertices: x_i - p_i is -p_i
+    # without player i and 1 - p_i with it
+    axis_map_inplace(work, [(1.0, -pi, 1.0, 1.0 - pi) for pi in profile.p.tolist()])
     return PseudoBooleanFunction(n, work)
+
+
+# ---------------------------------------------------------------------------
+# whole-lattice tables
+# ---------------------------------------------------------------------------
+
+def _interaction_values(values: np.ndarray, p: Sequence[float]) -> np.ndarray:
+    # I(S) = E[(Delta_S f)(C)]: average out axes outside S, difference on S
+    work = values.copy()
+    axis_map_inplace(work, [(1.0 - pi, pi, -1.0, 1.0) for pi in p])
+    return work
+
+
+def _influence_values(values: np.ndarray, p: Sequence[float]) -> np.ndarray:
+    # Phi(S) = E[f(C u S)] - E[f(C - S)].  Both terms are convex averages, and
+    # entry 0 of the two runs the same operations, so Phi(0) is exactly 0.0.
+    # Their rounding error is about n eps times the average of |values|; for
+    # values centered at E[f] Cauchy-Schwarz bounds that by sigma_f
+    # sigma(g_{S,p}), so r = Phi / (sigma_f sigma(g_{S,p})) stays accurate
+    # however small sigma_f is.
+    joined = values.copy()
+    axis_map_inplace(joined, [(1.0 - pi, pi, 0.0, 1.0) for pi in p])
+    removed = values.copy()
+    axis_map_inplace(removed, [(1.0 - pi, pi, 1.0, 0.0) for pi in p])
+    joined -= removed
+    return joined
+
+
+def _shapley_values(values: np.ndarray, n: int) -> np.ndarray:
+    # Gauss-Legendre over the constant profile (t, ..., t): the influence
+    # index is a polynomial of degree at most n - 1 in t, and m nodes
+    # integrate degree 2m - 1 exactly
+    x, w = np.polynomial.legendre.leggauss((n + 1) // 2 + 2)
+    total = np.zeros(1 << n)
+    for xj, wj in zip(x.tolist(), w.tolist()):
+        total += 0.5 * wj * _influence_values(values, [0.5 * (xj + 1.0)] * n)
+    return total
 
 
 def interaction_table(
     f: PseudoBooleanFunction, profile: ProbabilityProfile
 ) -> Dict[Coalition, float]:
-    """All 2**n interaction indexes of f at profile p, keyed by subset mask."""
+    """All 2**n interaction indexes of f at profile p, keyed by subset mask.
+
+    One pass of the per-axis map (1-p_i, p_i; -1, 1) over the game table:
+    O(n 2**n) in total, against O(2**n) per subset for
+    :func:`banzhaf_interaction`.
+    """
     _check_same_n(profile, f)
-    return {S: banzhaf_interaction(f, S, profile) for S in range(1 << f.n)}
+    return dict(enumerate(_interaction_values(f.values, profile.p.tolist()).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -431,22 +480,81 @@ def index_report(
     subsets: Sequence[Coalition],
     game_id: str = "game",
 ) -> IndexReport:
-    """Compute interaction, influence, Shapley value and correlation per subset."""
+    """Compute interaction, influence, Shapley value and correlation per subset.
+
+    Records follow ``subsets`` in order, repeats included.  Every mask is
+    validated before any work starts.  The route depends on the input size:
+
+    * more distinct subsets than n: whole-lattice tables.  Per-axis maps over
+      the game table give I, Phi and, by Gauss-Legendre over a constant
+      profile with ceil(n/2)+2 nodes, the Shapley value for all 2**n subsets
+      at once: O(n**2 2**n) numpy work, independent of the subset count.
+    * otherwise: the per-subset functions (:func:`banzhaf_interaction`,
+      :func:`banzhaf_influence` by the inner product with g_{S,p},
+      :func:`shapley_generalized_value`), each O(2**n) with Python-level
+      exact summation.
+
+    Both routes take r(S) = Phi(S) / (sigma_f sigma(g_{S,p})) with sigma_f
+    computed once, since cov(f, g_{S,p}) = Phi(S).  Both compute Phi from the
+    game centered at E[f], as a difference of averages with nonnegative
+    weights or as <f - E[f], g_{S,p}>, so by Cauchy-Schwarz its rounding
+    error stays near n eps sigma_f sigma(g_{S,p}) and r keeps its accuracy
+    for nearly constant games (profiles near the interior bound).  The
+    default Mobius route cancels there: on games c + a h with c up to 1e6,
+    a down to 1e-6 and p_i near 0 or 1 it put r off by up to 2e-2 (random
+    sweep, n <= 9).
+
+    Measured crossover (2-vCPU Xeon guest, numpy 2.4, uniform random game):
+    the tables take 8 ms at n=11, 35 ms at n=14, 0.28 s at n=17 and 2.8 s
+    at n=20, as much as 9-12, 9, 8-13 and 8-14 per-subset calls.  A call
+    costs most at |S| = 1 (the low ends) and less at |S| near n/2 (the high
+    ends).  The cut at n lies inside that break-even range at n=11 and is
+    late above it, by up to 1.6x at n=14 and 2.5x at n=20.
+    """
     _check_same_n(profile, f)
-    degenerate = math.sqrt(variance(profile, f)) <= DEGENERACY_EPS
-    records = []
     for S in subsets:
         check_mask(S, f.n)
-        r = None
-        if S != 0 and not degenerate:
-            r = normalized_influence(f, S, profile)
-        records.append(
-            IndexRecord(
-                subset=S,
-                interaction=banzhaf_interaction(f, S, profile),
-                influence=banzhaf_influence(f, S, profile),
-                shapley=shapley_generalized_value(f, S),
-                correlation=r,
-            )
+    sigma_f = math.sqrt(variance(profile, f))
+    degenerate = sigma_f <= DEGENERACY_EPS
+    if len(set(subsets)) > f.n:
+        p = profile.p.tolist()
+        picks = np.asarray(subsets, dtype=np.int64)
+        interaction = _interaction_values(f.values, p)
+        # Phi and the Shapley value ignore constants; I(0) = E[f] centers f
+        centered = f.values - interaction[0]
+        # g_std for every S at once, multiplied in the same order
+        g_sigma = np.sqrt(
+            subset_products([1.0 / pi for pi in p])
+            + subset_products([1.0 / (1.0 - pi) for pi in p])
         )
+        rows = zip(
+            subsets,
+            interaction[picks].tolist(),
+            _influence_values(centered, p)[picks].tolist(),
+            _shapley_values(centered, f.n)[picks].tolist(),
+            g_sigma[picks].tolist(),
+        )
+    else:
+        centered = PseudoBooleanFunction(f.n, f.values - expectation(profile, f))
+        rows = [
+            (
+                S,
+                banzhaf_interaction(f, S, profile),
+                banzhaf_influence(centered, S, profile, method="inner-product"),
+                shapley_generalized_value(f, S),
+                g_std(S, profile) if S else None,
+            )
+            for S in subsets
+        ]
+    records = [
+        IndexRecord(
+            subset=S,
+            interaction=i_b,
+            influence=phi,
+            shapley=sh,
+            # cov(f, g_{S,p}) = <f, g_{S,p}> = Phi(S) because E[g_{S,p}] = 0
+            correlation=None if S == 0 or degenerate else _correlation(phi, sigma_f, sigma_g),
+        )
+        for S, i_b, phi, sh, sigma_g in rows
+    ]
     return IndexReport(game_id=game_id, profile=profile, records=records)

@@ -199,6 +199,17 @@ class TestVerify:
         assert "FAIL" in out
         assert "four-way-influence" in out
 
+    def test_parseval_is_skipped_past_twelve_players(self, tmp_path, capsys):
+        doc = {"version": 1, "n": 13, "random": {"seed": 3, "distribution": "uniform"}}
+        rc = main(["verify", write_game(tmp_path, doc), "--trials", "1", "--samples", "200"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert [line.split()[0] for line in lines[:-1]] == ["PASS", "PASS", "SKIP", "PASS", "PASS"]
+        assert lines[2].split()[1] == "parseval"
+        assert "n > 12" in lines[2]
+        assert "max deviation" not in lines[2]
+        assert lines[-1] == "all checks passed"
+
     def test_nonuniform_profile(self, tmp_path, capsys):
         rc = main(["verify", write_game(tmp_path, OR_DOC), "--p", "0.3,0.8", "--trials", "4"])
         assert rc == 0

@@ -15,6 +15,7 @@ from pbindex import (
     weighted_voting_game,
     zeta,
 )
+from pbindex.core import axis_map_inplace
 from helpers import brute_mobius, brute_zeta, random_game
 
 OR_VALUES = [0.0, 1.0, 1.0, 1.0]
@@ -80,6 +81,38 @@ class TestRoundtrips:
     def test_roundtrip_tight_at_unit_scale(self):
         f = random_game(np.random.default_rng(3), 8)
         assert np.max(np.abs(zeta(mobius(f)).values - f.values)) <= 1e-12
+
+
+class TestAxisMap:
+    def test_matches_explicit_pairs_on_each_axis(self):
+        rng = np.random.default_rng(3)
+        n = 4
+        values = rng.uniform(-1, 1, 1 << n)
+        maps = [tuple(rng.uniform(-2, 2, 4)) for _ in range(n)]
+        expected = values.copy()
+        for i, (m00, m01, m10, m11) in enumerate(maps):
+            nxt = expected.copy()
+            for mask in range(1 << n):
+                if not mask >> i & 1:
+                    v0, v1 = expected[mask], expected[mask | 1 << i]
+                    nxt[mask] = m00 * v0 + m01 * v1
+                    nxt[mask | 1 << i] = m10 * v0 + m11 * v1
+            expected = nxt
+        work = values.copy()
+        axis_map_inplace(work, maps)
+        assert np.max(np.abs(work - expected)) <= 1e-14
+
+    def test_mobius_is_the_difference_map(self):
+        f = random_game(np.random.default_rng(5), 5)
+        work = f.values.copy()
+        axis_map_inplace(work, [(1.0, 0.0, -1.0, 1.0)] * 5)
+        assert np.array_equal(work, mobius(f).coeffs)
+
+    def test_rejects_tables_of_the_wrong_size(self):
+        with pytest.raises(ValidationError):
+            axis_map_inplace(np.zeros(8), [(1.0, 0.0, 0.0, 1.0)] * 2)
+        with pytest.raises(ValidationError):
+            axis_map_inplace(np.zeros(16)[::2], [(1.0, 0.0, 0.0, 1.0)] * 3)
 
 
 class TestMultilinearExtension:
@@ -213,6 +246,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             PseudoBooleanFunction(25, [0.0])  # n is checked before the table
 
+    def test_rejects_bool_player_count(self):
+        with pytest.raises(ValidationError):
+            PseudoBooleanFunction(True, [0, 1])
+        with pytest.raises(ValidationError):
+            unanimity_game(False, 0)
+        assert PseudoBooleanFunction(1, [0, 1]).n == 1
+
     def test_rejects_wrong_table_length(self):
         with pytest.raises(ValidationError):
             PseudoBooleanFunction(2, [0, 1, 1])
@@ -227,6 +267,13 @@ class TestValidation:
         f = PseudoBooleanFunction(2, OR_VALUES)
         with pytest.raises(ValidationError):
             sigma_s(f, 0b100)
+
+    def test_rejects_bool_masks(self):
+        f = PseudoBooleanFunction(2, OR_VALUES)
+        for op in (sigma_s, s_difference):
+            with pytest.raises(ValidationError):
+                op(f, True)
+            op(f, np.int64(1))  # numpy integers stay valid masks
 
     def test_tables_are_frozen(self):
         f = PseudoBooleanFunction(2, OR_VALUES)

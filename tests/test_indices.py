@@ -85,6 +85,10 @@ class TestInteraction:
             lhs = banzhaf_interaction(f, S, p)
             assert abs(lhs - expectation(p, s_difference(f, S))) <= 1e-10
 
+    def test_bool_subset_rejected(self):
+        with pytest.raises(ValidationError):
+            banzhaf_interaction(OR, True, UNIFORM2)
+
 
 class TestInfluence:
     def test_empty_subset_is_exactly_zero_for_every_method(self):
@@ -536,3 +540,30 @@ class TestIndexReport:
         f = PseudoBooleanFunction(2, [3, 3, 3, 3])
         report = index_report(f, UNIFORM2, [0b01])
         assert report.records[0].correlation is None
+        # the table route (more distinct subsets than n) agrees
+        report = index_report(f, UNIFORM2, [0, 0b01, 0b10])
+        assert [r.correlation for r in report.records] == [None, None, None]
+
+    def test_records_follow_the_request_order_with_repeats(self):
+        f = random_game(np.random.default_rng(73), 2)
+        subsets = [0b11, 0b01, 0b11, 0b10, 0]
+        report = index_report(f, UNIFORM2, subsets)
+        assert [r.subset for r in report.records] == subsets
+        assert report.records[0] == report.records[2]
+
+    def test_correlation_of_a_nearly_constant_game_on_both_routes(self):
+        # sigma_f = 5e-10; the Mobius route's Phi({1}) is 1.1e-16 here against
+        # a true 7.0e-19, which puts r({1}) off by 1.1e-7
+        f = PseudoBooleanFunction(3, [0.0] + [0.703125] * 7)
+        p = ProbabilityProfile([0.5, 0.9999999989999999, 0.9999999989999999])
+        per_subset = index_report(f, p, [0b001, 0b010, 0b011]).records
+        tables = index_report(f, p, list(range(8))).records
+        for rec in per_subset:
+            ref = tables[rec.subset]
+            assert rec.influence == pytest.approx(ref.influence, rel=1e-9, abs=1e-30)
+            assert rec.correlation == pytest.approx(ref.correlation, rel=1e-9, abs=1e-15)
+
+
+class TestInteractionTable:
+    def test_or_game_values(self):
+        assert interaction_table(OR, UNIFORM2) == {0b00: 0.75, 0b01: 0.5, 0b10: 0.5, 0b11: -1.0}

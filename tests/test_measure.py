@@ -20,7 +20,8 @@ from pbindex import (
     variance,
 )
 from pbindex.core import eval_multilinear_extension
-from pbindex.measure import multilinear_expectation
+from pbindex import measure
+from pbindex.measure import FSUM_CHUNK, _fsum, multilinear_expectation
 from helpers import brute_weight, random_game, random_profile
 
 OR = PseudoBooleanFunction(2, [0, 1, 1, 1])
@@ -42,6 +43,12 @@ class TestProfile:
             ProbabilityProfile(np.full((2, 2), 0.5))
         with pytest.raises(ValidationError):
             ProbabilityProfile(np.full(25, 0.5))
+
+    def test_player_cap_follows_max_players(self, monkeypatch):
+        monkeypatch.setattr(measure, "MAX_PLAYERS", 3)
+        ProbabilityProfile(np.full(3, 0.5))
+        with pytest.raises(ValidationError, match="3-player cap"):
+            ProbabilityProfile(np.full(4, 0.5))
 
     def test_weights_cached_and_frozen(self):
         p = random_profile(np.random.default_rng(0), 5)
@@ -181,3 +188,23 @@ class TestParseval:
             total = inner_product(p, f, f)
             coeffs = [inner_product(p, f, basis_function(p, T)) for T in range(1 << n)]
             assert math.fsum(c * c for c in coeffs) == pytest.approx(total, rel=1e-9)
+
+
+class TestChunkedFsum:
+    @pytest.mark.parametrize("size", [FSUM_CHUNK - 1, FSUM_CHUNK, FSUM_CHUNK + 1, 3 * FSUM_CHUNK + 7])
+    def test_bitwise_equal_to_one_list(self, size):
+        rng = np.random.default_rng(size)
+        terms = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+        assert _fsum(terms) == math.fsum(terms.tolist())
+
+    def test_cancellation_across_a_chunk_boundary(self):
+        terms = np.zeros(FSUM_CHUNK + 2)
+        terms[FSUM_CHUNK - 1] = 1e100
+        terms[FSUM_CHUNK] = 1.0
+        terms[FSUM_CHUNK + 1] = -1e100
+        assert _fsum(terms) == math.fsum(terms.tolist()) == 1.0
+
+    def test_empty_and_strided_input(self):
+        assert _fsum(np.zeros(0)) == 0.0
+        terms = np.random.default_rng(1).standard_normal(2 * FSUM_CHUNK + 3)[::2]
+        assert _fsum(terms) == math.fsum(terms.tolist())

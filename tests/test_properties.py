@@ -1,0 +1,124 @@
+"""Property tests: the whole-lattice index tables against the per-subset routes.
+
+Games have n <= 9 players and worths in [-100, 100]; profiles range over the
+whole admissible interval [1e-9, 1 - 1e-9].  Values are compared with the
+tolerance 1e-9 * max(1, |ref|) that the benchmark gate and the CLI's 12
+printed digits use.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from pbindex import (
+    DegenerateFunction,
+    PseudoBooleanFunction,
+    ProbabilityProfile,
+    ValidationError,
+    banzhaf_influence,
+    banzhaf_interaction,
+    index_report,
+    interaction_table,
+    normalized_influence,
+    shapley_generalized_value,
+)
+from pbindex import indices
+from pbindex.measure import INTERIOR_EPS
+
+REL_TOL = 1e-9
+MAX_N = 9
+TABLE_BUILDERS = ("_interaction_values", "_influence_values", "_shapley_values")
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def games(draw):
+    n = draw(st.integers(1, MAX_N))
+    worths = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    values = draw(arrays(np.float64, 1 << n, elements=worths))
+    probs = st.floats(INTERIOR_EPS, 1.0 - INTERIOR_EPS, allow_nan=False)
+    p = draw(arrays(np.float64, n, elements=probs))
+    return PseudoBooleanFunction(n, values), ProbabilityProfile(p)
+
+
+def _masks(n):
+    return st.integers(0, (1 << n) - 1)
+
+
+def _close(got, ref):
+    return abs(got - ref) <= REL_TOL * max(1.0, abs(ref))
+
+
+def _same_record(a, b):
+    if a.subset != b.subset or (a.correlation is None) != (b.correlation is None):
+        return False
+    pairs = [(a.interaction, b.interaction), (a.influence, b.influence), (a.shapley, b.shapley)]
+    if a.correlation is not None:
+        pairs.append((a.correlation, b.correlation))
+    return all(_close(x, y) for x, y in pairs)
+
+
+@SETTINGS
+@given(data=st.data(), game=games())
+def test_table_route_matches_per_subset_references(data, game):
+    f, p = game
+    subsets = data.draw(st.lists(_masks(f.n), max_size=12))
+    # every mask of the lattice: 2**n > n distinct subsets takes the tables
+    records = index_report(f, p, list(range(1 << f.n))).records
+    for S in subsets:
+        rec = records[S]
+        assert _close(rec.interaction, banzhaf_interaction(f, S, p))
+        assert _close(rec.influence, banzhaf_influence(f, S, p, method="average"))
+        assert _close(rec.shapley, shapley_generalized_value(f, S))
+        if S == 0:
+            assert rec.influence == 0.0 and rec.correlation is None
+            continue
+        try:
+            ref = normalized_influence(f, S, p)
+        except DegenerateFunction:
+            assert rec.correlation is None
+        else:
+            assert _close(rec.correlation, ref)
+
+
+@SETTINGS
+@given(data=st.data(), game=games())
+def test_report_agrees_across_the_routing_threshold(data, game):
+    f, p = game
+    subsets = data.draw(st.lists(_masks(f.n), min_size=f.n + 1, max_size=f.n + 1, unique=True))
+    with mock.patch.object(indices, "_shapley_values", wraps=indices._shapley_values) as spy:
+        below = index_report(f, p, subsets[:-1]).records  # n subsets: per subset
+        assert spy.call_count == 0
+        above = index_report(f, p, subsets).records  # n + 1 subsets: tables
+        assert spy.call_count == 1
+    assert all(_same_record(a, b) for a, b in zip(below, above))
+
+
+@SETTINGS
+@given(game=games())
+def test_interaction_table_matches_every_subset(game):
+    f, p = game
+    table = interaction_table(f, p)
+    assert sorted(table) == list(range(1 << f.n))
+    for S, value in table.items():
+        assert _close(value, banzhaf_interaction(f, S, p))
+
+
+@SETTINGS
+@given(data=st.data(), game=games())
+def test_bad_masks_raise_before_any_table(data, game):
+    f, p = game
+    subsets = data.draw(st.lists(_masks(f.n), min_size=f.n + 1, max_size=f.n + 4))
+    bad = data.draw(st.one_of(st.integers(1 << f.n, 1 << 30), st.integers(-(1 << 30), -1), st.just(True)))
+    subsets.insert(data.draw(st.integers(0, len(subsets))), bad)
+    with mock.patch.multiple(
+        indices, **{name: mock.DEFAULT for name in TABLE_BUILDERS}
+    ) as builders:
+        with pytest.raises(ValidationError):
+            index_report(f, p, subsets)
+    assert all(builder.call_count == 0 for builder in builders.values())
