@@ -6,7 +6,7 @@ measure, and computes the whole Banzhaf-type index family those projections
 induce, with brute-force and Monte Carlo oracles for cross-validation.
 """
 
-from .approx import Approximation, best_k_approximation, best_s_approximation, residual_norm, to_multilinear
+from .approx import Approximation, best_k_approximation, best_s_approximation, residual_norm
 from .core import (
     Coalition,
     MAX_PLAYERS,

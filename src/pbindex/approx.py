@@ -7,8 +7,10 @@ the v_{T,p} are orthonormal for <.,.>_w, the minimizer is simply
     f_{S,p} = sum_{T subseteq S} <f, v_{T,p}> v_{T,p},
 
 and the best degree-k approximation replaces the index set by {|T| <= k}.
-Projections are always computed coefficient by coefficient in this basis;
-the independent normal-equations route lives in :mod:`pbindex.oracle`.
+The basis is a tensor product, so every coefficient <f, v_{T,p}> comes out
+of one pass of a per-axis 2x2 map over the game table, and a second per-axis
+map expands the series in the unanimity basis: O(n 2**n) either way.  The
+independent normal-equations route lives in :mod:`pbindex.oracle`.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from .core import (
     Coalition,
     MobiusRepresentation,
     PseudoBooleanFunction,
+    axis_map_inplace,
     check_mask,
-    subset_products,
-    subsets_of,
+    submasks,
     zeta,
 )
 from .errors import DimensionError, ValidationError
-from .measure import ProbabilityProfile, basis_function, inner_product, _check_same_n, _fsum
+from .measure import ProbabilityProfile, _check_same_n, _fsum
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,18 +60,38 @@ def _expand_fourier(
 ) -> MobiusRepresentation:
     """Distribute sum_T c_T prod_{i in T}(x_i - p_i)/s_i over the unanimity basis.
 
-    Each product expands as sum_{R subseteq T} prod_{i in T minus R}(-p_i) u_R,
-    a subset convolution; coefficients of subsets never touched stay exactly 0.
+    Per axis (x_i - p_i)/s_i = x_i/s_i - p_i/s_i, so the inverse map sends
+    (c0, c1) to (c0 - p_i c1/s_i, c1/s_i); coefficients of subsets outside
+    every key stay exactly 0.
     """
-    n = profile.n
-    scale = np.sqrt(profile.p * (1.0 - profile.p))
-    negprods = subset_products(-profile.p)
-    coeffs = np.zeros(1 << n)
-    for T, c in fourier.items():
-        norm = c / math.prod(scale[i] for i in range(n) if T >> i & 1)
-        for R in subsets_of(T):
-            coeffs[R] += norm * negprods[T & ~R]
-    return MobiusRepresentation(n, coeffs)
+    coeffs = np.zeros(1 << profile.n)
+    coeffs[np.fromiter(fourier, dtype=np.int64, count=len(fourier))] = list(fourier.values())
+    maps = []
+    for pi in profile.p.tolist():
+        s = math.sqrt(pi * (1.0 - pi))
+        maps.append((1.0, -pi / s, 0.0, 1.0 / s))
+    axis_map_inplace(coeffs, maps)
+    return MobiusRepresentation(profile.n, coeffs)
+
+
+def _project(
+    f: PseudoBooleanFunction, profile: ProbabilityProfile, keys: np.ndarray, **which: int
+) -> Approximation:
+    """The projection of f onto span{v_{T,p} : T in ``keys``}.
+
+    With q = 1-p and s = sqrt(pq), one pass of the per-axis map
+    (f0, f1) -> (q f0 + p f1, s (f1 - f0)), the weighted sums of f against 1
+    and against (x_i - p_i)/s, leaves <f, v_{T,p}> at every entry T.
+    ``which`` sets ``subset`` or ``degree``.
+    """
+    work = f.values.copy()
+    maps = []
+    for pi in profile.p.tolist():
+        s = math.sqrt(pi * (1.0 - pi))
+        maps.append((1.0 - pi, pi, -s, s))
+    axis_map_inplace(work, maps)
+    fourier = dict(zip(keys.tolist(), work[keys].tolist()))
+    return Approximation(f.n, profile, fourier, _expand_fourier(fourier, profile), **which)
 
 
 def best_s_approximation(
@@ -78,14 +100,7 @@ def best_s_approximation(
     """Orthogonal projection of f onto V_S under the product measure."""
     _check_same_n(profile, f)
     check_mask(S, f.n)
-    fourier = {T: inner_product(profile, f, basis_function(profile, T)) for T in subsets_of(S)}
-    return Approximation(
-        n=f.n,
-        profile=profile,
-        fourier=fourier,
-        multilinear=_expand_fourier(fourier, profile),
-        subset=S,
-    )
+    return _project(f, profile, submasks(S), subset=S)
 
 
 def best_k_approximation(
@@ -95,27 +110,8 @@ def best_k_approximation(
     _check_same_n(profile, f)
     if not 0 <= k <= f.n:
         raise ValidationError(f"degree must lie in 0..{f.n}, got {k}")
-    fourier = {
-        T: inner_product(profile, f, basis_function(profile, T))
-        for T in range(1 << f.n)
-        if T.bit_count() <= k
-    }
-    return Approximation(
-        n=f.n,
-        profile=profile,
-        fourier=fourier,
-        multilinear=_expand_fourier(fourier, profile),
-        degree=k,
-    )
-
-
-def to_multilinear(approx: Approximation) -> MobiusRepresentation:
-    """Unanimity-basis coefficients of the approximant.
-
-    For an S-approximation the coefficient of u_S is the weighted Banzhaf
-    interaction index of the original game.
-    """
-    return _expand_fourier(approx.fourier, approx.profile)
+    keys = np.flatnonzero(np.bitwise_count(np.arange(1 << f.n)) <= k)
+    return _project(f, profile, keys, degree=k)
 
 
 def residual_norm(

@@ -85,6 +85,18 @@ def subsets_of(mask: Coalition) -> Iterator[Coalition]:
         s = (s - mask) & mask
 
 
+def submasks(mask: Coalition) -> np.ndarray:
+    """All submasks of ``mask`` as an int64 array, in the order of :func:`subsets_of`.
+
+    Each bit of ``mask``, lowest first, appends a copy of the array with that bit set.
+    """
+    out = np.zeros(1, dtype=np.int64)
+    for i in range(int(mask).bit_length()):
+        if mask >> i & 1:
+            out = np.concatenate([out, out | (1 << i)])
+    return out
+
+
 def subset_products(x: Sequence[float]) -> np.ndarray:
     """Table of prod_{i in T} x_i for every mask T, built by doubling.
 

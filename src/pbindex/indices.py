@@ -36,6 +36,7 @@ from .core import (
     check_mask,
     full_mask,
     mobius,
+    submasks,
     subset_products,
     subsets_of,
 )
@@ -65,8 +66,16 @@ DEGENERACY_EPS = 1e-12
 
 def _comp_masks(S: Coalition, n: int) -> np.ndarray:
     """Submasks of the complement of S, ascending (packed order)."""
-    comp = full_mask(n) & ~S
-    return np.fromiter(subsets_of(comp), dtype=np.int64, count=1 << (n - S.bit_count()))
+    return submasks(full_mask(n) & ~S)
+
+
+def _comp_weights(S: Coalition, profile: ProbabilityProfile) -> np.ndarray:
+    """Pr(C - S = T) = prod_{i in T} p_i prod_{i in N-S-T} (1-p_i), T in :func:`_comp_masks`."""
+    coeff = np.ones(1)
+    for i in range(profile.n):
+        if not S >> i & 1:
+            coeff = np.concatenate([coeff * (1.0 - profile.p[i]), coeff * profile.p[i]])
+    return coeff
 
 
 def banzhaf_interaction(
@@ -117,11 +126,7 @@ def _influence_projection(f, S, profile):
 
 def _influence_average(f, S, profile):
     subs = _comp_masks(S, f.n)
-    coeff = np.ones(1)
-    for i in range(f.n):
-        if not S >> i & 1:
-            coeff = np.concatenate([coeff * (1.0 - profile.p[i]), coeff * profile.p[i]])
-    return _fsum(coeff * (f.values[subs | S] - f.values[subs]))
+    return _fsum(_comp_weights(S, profile) * (f.values[subs | S] - f.values[subs]))
 
 
 def _influence_inner_product(f, S, profile):
@@ -211,7 +216,7 @@ def ben_or_linial_influence(f: PseudoBooleanFunction, S: Coalition) -> float:
     """
     check_mask(S, f.n)
     outer = _comp_masks(S, f.n)
-    inner = np.fromiter(subsets_of(S), dtype=np.int64, count=1 << S.bit_count())
+    inner = submasks(S)
     grid = f.values[outer[:, None] | inner[None, :]]
     spread = grid.max(axis=1) - grid.min(axis=1)
     return _fsum(spread) / float(len(outer))
@@ -264,11 +269,7 @@ def influence_value_coefficients(
     """
     check_mask(S, profile.n)
     subs = _comp_masks(S, profile.n)
-    coeff = np.ones(1)
-    for i in range(profile.n):
-        if not S >> i & 1:
-            coeff = np.concatenate([coeff * (1.0 - profile.p[i]), coeff * profile.p[i]])
-    table = {int(T): float(c) for T, c in zip(subs, coeff)}
+    table = dict(zip(subs.tolist(), _comp_weights(S, profile).tolist()))
     return GeneralizedValueCoefficients(profile.n, S, "p", table)
 
 
@@ -281,16 +282,9 @@ def gv_p_to_q(coeffs: GeneralizedValueCoefficients) -> GeneralizedValueCoefficie
     n, S = coeffs.n, coeffs.subset
     subs = _comp_masks(S, n)
     packed = np.array([coeffs.table[int(T)] for T in subs])
-    c = n - S.bit_count()
-    for j in range(c):  # superset sums over the complement lattice
-        pairs = packed.reshape(-1, 2, 1 << j)
-        pairs[:, 0, :] += pairs[:, 1, :]
-    by_outside = dict(zip(subs.tolist(), packed.tolist()))
-    table = {}
-    for D in subs.tolist():
-        for E in subsets_of(S):
-            if E:
-                table[D | E] = by_outside[D]
+    # superset sums over the complement lattice
+    axis_map_inplace(packed, [(1.0, 1.0, 0.0, 1.0)] * (n - S.bit_count()))
+    table = {D | E: q for D, q in zip(subs.tolist(), packed.tolist()) for E in subsets_of(S) if E}
     return GeneralizedValueCoefficients(n, S, "q", table)
 
 
@@ -316,10 +310,8 @@ def gv_q_to_p(
                 f"q values for R-S={D:#b} spread by {max(vals) - min(vals):.3e} > {tol}"
             )
         rep[k] = coeffs.table[D | S]
-    c = n - S.bit_count()
-    for j in range(c):  # superset Mobius inversion over the complement lattice
-        pairs = rep.reshape(-1, 2, 1 << j)
-        pairs[:, 0, :] -= pairs[:, 1, :]
+    # superset Mobius inversion over the complement lattice
+    axis_map_inplace(rep, [(1.0, -1.0, 0.0, 1.0)] * (n - S.bit_count()))
     table = dict(zip((int(T) for T in subs), rep.tolist()))
     return GeneralizedValueCoefficients(n, S, "p", table)
 

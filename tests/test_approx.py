@@ -13,7 +13,6 @@ from pbindex import (
     expectation,
     inner_product,
     residual_norm,
-    to_multilinear,
     unanimity_game,
     zeta,
 )
@@ -90,22 +89,11 @@ class TestBestKApproximation:
 
 
 class TestToMultilinear:
-    def test_constant_coefficient_passes_through(self):
-        approx = best_s_approximation(OR, 0, UNIFORM2)
-        assert to_multilinear(approx).coeffs[0] == approx.fourier[0]
-
     def test_uniform_singleton_expansion(self):
         fourier = {0b01: 0.25}
         out = _expand_fourier(fourier, UNIFORM2)
         # (1/4) v_{1} = (1/2) x1 - 1/4
         assert out.coeffs.tolist() == pytest.approx([-0.25, 0.5, 0.0, 0.0], abs=1e-15)
-
-    def test_matches_the_stored_expansion(self):
-        rng = np.random.default_rng(25)
-        f = random_game(rng, 6)
-        p = random_profile(rng, 6)
-        approx = best_s_approximation(f, 0b110101, p)
-        assert np.array_equal(to_multilinear(approx).coeffs, approx.multilinear.coeffs)
 
     def test_expansion_reconstructs_the_fourier_series(self):
         rng = np.random.default_rng(26)

@@ -141,6 +141,44 @@ class TestAnalyze:
         assert rc == 0
         assert "Phi_B" in out.read_text()
 
+    def test_text_report_of_every_subset_is_pinned(self, tmp_path, capsys):
+        doc = {"version": 1, "weighted_voting": {"quota": 3, "weights": [2, 2, 1]}}
+        rc = main(["analyze", write_game(tmp_path, doc), "--format", "text"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "{}       I_B     0.5\n"
+            "{}       Phi_B   0\n"
+            "{}       Phi_Sh  0\n"
+            "{1}      I_B     0.5\n"
+            "{1}      Phi_B   0.5\n"
+            "{1}      Phi_Sh  0.333333333333\n"
+            "{1}      r       0.5\n"
+            "{2}      I_B     0.5\n"
+            "{2}      Phi_B   0.5\n"
+            "{2}      Phi_Sh  0.333333333333\n"
+            "{2}      r       0.5\n"
+            "{1,2}    I_B     0\n"
+            "{1,2}    Phi_B   1\n"
+            "{1,2}    Phi_Sh  1\n"
+            "{1,2}    r       0.707106781187\n"
+            "{3}      I_B     0.5\n"
+            "{3}      Phi_B   0.5\n"
+            "{3}      Phi_Sh  0.333333333333\n"
+            "{3}      r       0.5\n"
+            "{1,3}    I_B     0\n"
+            "{1,3}    Phi_B   1\n"
+            "{1,3}    Phi_Sh  1\n"
+            "{1,3}    r       0.707106781187\n"
+            "{2,3}    I_B     0\n"
+            "{2,3}    Phi_B   1\n"
+            "{2,3}    Phi_Sh  1\n"
+            "{2,3}    r       0.707106781187\n"
+            "{1,2,3}  I_B     -2\n"
+            "{1,2,3}  Phi_B   1\n"
+            "{1,2,3}  Phi_Sh  1\n"
+            "{1,2,3}  r       0.5\n"
+        )
+
     def test_missing_file_is_a_validation_failure(self, capsys):
         assert main(["analyze", "no/such/game.json"]) == 1
 
@@ -199,15 +237,14 @@ class TestVerify:
         assert "FAIL" in out
         assert "four-way-influence" in out
 
-    def test_parseval_is_skipped_past_twelve_players(self, tmp_path, capsys):
+    def test_parseval_runs_past_twelve_players(self, tmp_path, capsys):
         doc = {"version": 1, "n": 13, "random": {"seed": 3, "distribution": "uniform"}}
         rc = main(["verify", write_game(tmp_path, doc), "--trials", "1", "--samples", "200"])
         lines = capsys.readouterr().out.splitlines()
         assert rc == 0
-        assert [line.split()[0] for line in lines[:-1]] == ["PASS", "PASS", "SKIP", "PASS", "PASS"]
+        assert [line.split()[0] for line in lines[:-1]] == ["PASS"] * 5
         assert lines[2].split()[1] == "parseval"
-        assert "n > 12" in lines[2]
-        assert "max deviation" not in lines[2]
+        assert "max deviation" in lines[2]
         assert lines[-1] == "all checks passed"
 
     def test_nonuniform_profile(self, tmp_path, capsys):

@@ -15,7 +15,7 @@ from pbindex import (
     weighted_voting_game,
     zeta,
 )
-from pbindex.core import axis_map_inplace
+from pbindex.core import axis_map_inplace, submasks
 from helpers import brute_mobius, brute_zeta, random_game
 
 OR_VALUES = [0.0, 1.0, 1.0, 1.0]
@@ -81,6 +81,14 @@ class TestRoundtrips:
     def test_roundtrip_tight_at_unit_scale(self):
         f = random_game(np.random.default_rng(3), 8)
         assert np.max(np.abs(zeta(mobius(f)).values - f.values)) <= 1e-12
+
+
+class TestSubmasks:
+    def test_matches_the_generator_order(self):
+        for mask in (0, 0b1, 0b1000, 0b10110, 0b111111, 1 << 23 | 1 << 17 | 0b1001, np.int64(0b1101)):
+            arr = submasks(mask)
+            assert arr.dtype == np.int64
+            assert arr.tolist() == list(subsets_of(int(mask)))
 
 
 class TestAxisMap:

@@ -1,9 +1,12 @@
-"""Property tests: the whole-lattice index tables against the per-subset routes.
+"""Property tests: the whole-lattice index tables against the per-subset routes,
+the four influence routes against each other, and the projections against
+the dense basis.
 
 Games have n <= 9 players and worths in [-100, 100]; profiles range over the
 whole admissible interval [1e-9, 1 - 1e-9].  Values are compared with the
 tolerance 1e-9 * max(1, |ref|) that the benchmark gate and the CLI's 12
-printed digits use.
+printed digits use, or 1e-9 * max(1, max |f|) where the reference is a
+difference or a coefficient and so may be far smaller than the game.
 """
 
 from unittest import mock
@@ -21,10 +24,15 @@ from pbindex import (
     ValidationError,
     banzhaf_influence,
     banzhaf_interaction,
+    basis_function,
+    best_k_approximation,
+    best_s_approximation,
     index_report,
+    inner_product,
     interaction_table,
     normalized_influence,
     shapley_generalized_value,
+    subsets_of,
 )
 from pbindex import indices
 from pbindex.measure import INTERIOR_EPS
@@ -52,6 +60,10 @@ def _masks(n):
 
 def _close(got, ref):
     return abs(got - ref) <= REL_TOL * max(1.0, abs(ref))
+
+
+def _game_tol(f):
+    return REL_TOL * max(1.0, float(np.max(np.abs(f.values))))
 
 
 def _same_record(a, b):
@@ -122,3 +134,31 @@ def test_bad_masks_raise_before_any_table(data, game):
         with pytest.raises(ValidationError):
             index_report(f, p, subsets)
     assert all(builder.call_count == 0 for builder in builders.values())
+
+
+@SETTINGS
+@given(data=st.data(), game=games())
+def test_influence_routes_agree(data, game):
+    f, p = game
+    S = data.draw(_masks(f.n))
+    vals = [banzhaf_influence(f, S, p, method=m) for m in indices.INFLUENCE_METHODS]
+    assert max(vals) - min(vals) <= _game_tol(f)
+
+
+@SETTINGS
+@given(data=st.data(), game=games())
+def test_projection_coefficients_are_basis_inner_products(data, game):
+    f, p = game
+    S = data.draw(_masks(f.n))
+    fourier = best_s_approximation(f, S, p).fourier
+    assert list(fourier) == list(subsets_of(S))
+    for T, c in fourier.items():
+        assert abs(c - inner_product(p, f, basis_function(p, T))) <= _game_tol(f)
+
+
+@SETTINGS
+@given(game=games())
+def test_full_degree_projection_reproduces_the_game(game):
+    f, p = game
+    table = best_k_approximation(f, f.n, p).table().values
+    assert np.max(np.abs(table - f.values)) <= _game_tol(f)
