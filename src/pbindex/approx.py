@@ -61,17 +61,44 @@ def _expand_fourier(
     """Distribute sum_T c_T prod_{i in T}(x_i - p_i)/s_i over the unanimity basis.
 
     Per axis (x_i - p_i)/s_i = x_i/s_i - p_i/s_i, so the inverse map sends
-    (c0, c1) to (c0 - p_i c1/s_i, c1/s_i); coefficients of subsets outside
-    every key stay exactly 0.
+    (c0, c1) to (c0 - p_i c1/s_i, c1/s_i).  It runs on the lattice of the union
+    U of the keys only: on every other axis it would be the identity on a
+    table that is zero there.  Coefficients outside the submasks of U stay
+    exactly 0.
     """
+    keys = np.fromiter(fourier, dtype=np.int64, count=len(fourier))
+    union = int(np.bitwise_or.reduce(keys)) if keys.size else 0
+    axes = [i for i in range(profile.n) if union >> i & 1]
+    for i in reversed(range(profile.n)):  # squeeze out the bits outside U
+        if not union >> i & 1:
+            keys = (keys & ((1 << i) - 1)) | ((keys >> 1) & -(1 << i))
+    packed = np.zeros(1 << len(axes))
+    packed[keys] = list(fourier.values())
+    maps = []
+    for pi in profile.p[axes].tolist():
+        s = math.sqrt(pi * (1.0 - pi))
+        maps.append((1.0, -pi / s, 0.0, 1.0 / s))
+    axis_map_inplace(packed, maps)
     coeffs = np.zeros(1 << profile.n)
-    coeffs[np.fromiter(fourier, dtype=np.int64, count=len(fourier))] = list(fourier.values())
+    coeffs[submasks(union)] = packed
+    return MobiusRepresentation(profile.n, coeffs)
+
+
+def fourier_table(f: PseudoBooleanFunction, profile: ProbabilityProfile) -> np.ndarray:
+    """<f, v_{T,p}> for every T, as a table in mask order.
+
+    With q = 1-p and s = sqrt(pq), one pass of the per-axis map
+    (f0, f1) -> (q f0 + p f1, s (f1 - f0)), the weighted sums of f against 1
+    and against (x_i - p_i)/s, leaves <f, v_{T,p}> at every entry T.
+    """
+    _check_same_n(profile, f)
+    work = f.values.copy()
     maps = []
     for pi in profile.p.tolist():
         s = math.sqrt(pi * (1.0 - pi))
-        maps.append((1.0, -pi / s, 0.0, 1.0 / s))
-    axis_map_inplace(coeffs, maps)
-    return MobiusRepresentation(profile.n, coeffs)
+        maps.append((1.0 - pi, pi, -s, s))
+    axis_map_inplace(work, maps)
+    return work
 
 
 def _project(
@@ -79,18 +106,9 @@ def _project(
 ) -> Approximation:
     """The projection of f onto span{v_{T,p} : T in ``keys``}.
 
-    With q = 1-p and s = sqrt(pq), one pass of the per-axis map
-    (f0, f1) -> (q f0 + p f1, s (f1 - f0)), the weighted sums of f against 1
-    and against (x_i - p_i)/s, leaves <f, v_{T,p}> at every entry T.
     ``which`` sets ``subset`` or ``degree``.
     """
-    work = f.values.copy()
-    maps = []
-    for pi in profile.p.tolist():
-        s = math.sqrt(pi * (1.0 - pi))
-        maps.append((1.0 - pi, pi, -s, s))
-    axis_map_inplace(work, maps)
-    fourier = dict(zip(keys.tolist(), work[keys].tolist()))
+    fourier = dict(zip(keys.tolist(), fourier_table(f, profile)[keys].tolist()))
     return Approximation(f.n, profile, fourier, _expand_fourier(fourier, profile), **which)
 
 

@@ -314,8 +314,8 @@ def _check_orthonormality(game, profile, rng) -> CheckResult:
 
 def _check_parseval(game, profile) -> CheckResult:
     total = measure.inner_product(profile, game, game)
-    coeffs = approx_mod.best_k_approximation(game, game.n, profile).fourier
-    dev = abs(math.fsum(c * c for c in coeffs.values()) - total)
+    coeffs = approx_mod.fourier_table(game, profile)
+    dev = abs(math.fsum((coeffs * coeffs).tolist()) - total)
     rel = dev / max(abs(total), 1.0)
     return CheckResult("parseval", rel <= 1e-9, rel)
 

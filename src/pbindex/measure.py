@@ -162,8 +162,10 @@ def covariance(
 
 
 def variance(profile: ProbabilityProfile, f: PseudoBooleanFunction) -> float:
-    """var(f) = cov(f, f), floored at zero against rounding."""
-    return max(covariance(profile, f, f), 0.0)
+    """var(f) = E[(f - E[f])^2], centered as in :func:`covariance`, floored at zero."""
+    _check_same_n(profile, f)
+    d = f.values - expectation(profile, f)
+    return max(_fsum(profile.weights() * d * d), 0.0)
 
 
 def multilinear_expectation(profile: ProbabilityProfile, f: PseudoBooleanFunction) -> float:

@@ -9,6 +9,11 @@ meaningful evidence:
   basis.
 * Monte Carlo estimators draw random coalitions (seeded PCG64 streams) and
   report a standard error with every mean.
+* :func:`cdf_integral_check` evaluates the multilinear extension at its
+  sample points by splitting every mask into a low and a high half:
+  fbar(x) = P_high(x)^T A P_low(x), with A the Mobius table as a matrix and
+  P the subset products of x over each half.  It shares no code with the
+  butterflies of the production routes.
 * :func:`diagonal_quadrature` and :func:`cube_average` integrate the
   influence index over probability space numerically and in closed form.
 """
@@ -207,21 +212,42 @@ def cube_average(f: PseudoBooleanFunction, S: Coalition) -> float:
     return _fsum(a.coeffs[sel] * 0.5 ** outside.astype(np.float64))
 
 
+# entries per product table in _eval_extension_batch (8 MB).  2**18 ran the
+# extension 10-15% faster at n = 14 and 16, but freeing only 2 MB blocks keeps
+# glibc's dynamic mmap threshold low, so the next multi-MB arrays are mapped and
+# faulted in afresh: mc_expectation at 10**5 samples, n=6, went from 5.7 to 9 ms.
+EXTENSION_CHUNK = 1 << 20
+
+
+def _point_products(x: np.ndarray) -> np.ndarray:
+    """Row j holds prod_{i in T} x[j, i] at column T, for every T, by doubling."""
+    m, k = x.shape
+    out = np.empty((m, 1 << k))
+    out[:, 0] = 1.0
+    for i in range(k):
+        np.multiply(out[:, : 1 << i], x[:, i : i + 1], out=out[:, 1 << i : 2 << i])
+    return out
+
+
 def _eval_extension_batch(a: MobiusRepresentation, points: np.ndarray) -> np.ndarray:
-    """Multilinear extension at many points, chunked to bound memory."""
-    total = points.shape[0]
-    chunk = max(1, (1 << 22) // (1 << max(a.n - 1, 0)))
-    out = np.empty(total)
-    for start in range(0, total, chunk):
+    """Multilinear extension at many points as P_high(x)^T A P_low(x).
+
+    Splitting each mask into its low = floor(n/2) bits and the rest turns the
+    Mobius table into a 2**(n-low) x 2**low matrix A, and fbar(x) into the
+    bilinear form of A with the subset products of x over either half.  Each
+    point still costs 2**n multiply-adds, now as contiguous dot products.
+    ``einsum`` rather than BLAS: its sums depend on a row's values only, so
+    identical points give bitwise identical values wherever they sit.
+    """
+    low = a.n // 2
+    high = a.n - low
+    A = a.coeffs.reshape(1 << high, 1 << low)
+    chunk = max(1, EXTENSION_CHUNK >> high)
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], chunk):
         x = points[start : start + chunk]
-        work = None
-        for i in reversed(range(a.n)):
-            half = 1 << i
-            if work is None:
-                work = a.coeffs[:half, None] + np.outer(a.coeffs[half:], x[:, i])
-            else:
-                work = work[:half] + work[half:] * x[:, i][None, :]
-        out[start : start + chunk] = work[0]
+        partial = np.einsum("pl,hl->ph", _point_products(x[:, :low]), A)
+        out[start : start + chunk] = np.einsum("ph,ph->p", _point_products(x[:, low:]), partial)
     return out
 
 

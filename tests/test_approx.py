@@ -17,6 +17,7 @@ from pbindex import (
     zeta,
 )
 from pbindex.approx import _expand_fourier
+from pbindex.core import submasks
 from helpers import random_game, random_profile
 
 OR = PseudoBooleanFunction(2, [0, 1, 1, 1])
@@ -94,6 +95,24 @@ class TestToMultilinear:
         out = _expand_fourier(fourier, UNIFORM2)
         # (1/4) v_{1} = (1/2) x1 - 1/4
         assert out.coeffs.tolist() == pytest.approx([-0.25, 0.5, 0.0, 0.0], abs=1e-15)
+
+    def test_empty_series_expands_to_zero(self):
+        out = _expand_fourier({}, ProbabilityProfile([0.3, 0.6, 0.9]))
+        assert out.coeffs.tolist() == [0.0] * 8
+
+    def test_coefficients_outside_the_union_of_keys_stay_zero(self):
+        rng = np.random.default_rng(28)
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            p = random_profile(rng, n)
+            keys = rng.integers(0, 1 << n, size=int(rng.integers(1, 5))).tolist()
+            union = 0
+            for T in keys:
+                union |= T
+            out = _expand_fourier({T: float(rng.normal()) for T in keys}, p)
+            outside = np.ones(1 << n, dtype=bool)
+            outside[submasks(union)] = False
+            assert np.all(out.coeffs[outside] == 0.0)
 
     def test_expansion_reconstructs_the_fourier_series(self):
         rng = np.random.default_rng(26)

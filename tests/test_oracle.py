@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pbindex import (
+    MobiusRepresentation,
     PseudoBooleanFunction,
     ProbabilityProfile,
     SampleEstimate,
@@ -24,6 +25,7 @@ from pbindex import (
     shapley_generalized_value,
     unanimity_game,
 )
+from pbindex.oracle import _eval_extension_batch
 from helpers import random_game, random_profile
 
 OR = PseudoBooleanFunction(2, [0, 1, 1, 1])
@@ -214,6 +216,16 @@ class TestCdfIntegral:
         est = cdf_integral_check(f, S, p, 1024, seed=6, family="point")
         assert est.std_error == 0.0
         assert abs(est.mean - banzhaf_influence(f, S, p)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_identical_points_give_identical_values(self, n):
+        # each draw must depend on its point only, not on where its row sits
+        rng = np.random.default_rng(96 + n)
+        a = MobiusRepresentation(n, rng.normal(size=1 << n))
+        x = rng.random(n)
+        for m in (1, 3, 17, 1025, 4099):
+            values = _eval_extension_batch(a, np.broadcast_to(x, (m, n)).copy())
+            assert np.all(values == values[0])
 
     def test_validation(self):
         with pytest.raises(ValidationError):

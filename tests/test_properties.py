@@ -1,12 +1,15 @@
 """Property tests: the whole-lattice index tables against the per-subset routes,
-the four influence routes against each other, and the projections against
-the dense basis.
+the four influence routes against each other, the projections against
+the dense basis, and the Monte Carlo oracle's batched multilinear extension
+against the exact-sum evaluation at one point.
 
 Games have n <= 9 players and worths in [-100, 100]; profiles range over the
 whole admissible interval [1e-9, 1 - 1e-9].  Values are compared with the
 tolerance 1e-9 * max(1, |ref|) that the benchmark gate and the CLI's 12
 printed digits use, or 1e-9 * max(1, max |f|) where the reference is a
 difference or a coefficient and so may be far smaller than the game.
+The extension property draws Mobius tables with n <= 10 and coefficients in
+[-1e4, 1e4] and compares within 1e-12 * max(1, sum |a|).
 """
 
 from unittest import mock
@@ -19,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 
 from pbindex import (
     DegenerateFunction,
+    MobiusRepresentation,
     PseudoBooleanFunction,
     ProbabilityProfile,
     ValidationError,
@@ -27,6 +31,7 @@ from pbindex import (
     basis_function,
     best_k_approximation,
     best_s_approximation,
+    eval_multilinear_extension,
     index_report,
     inner_product,
     interaction_table,
@@ -34,7 +39,7 @@ from pbindex import (
     shapley_generalized_value,
     subsets_of,
 )
-from pbindex import indices
+from pbindex import indices, oracle
 from pbindex.measure import INTERIOR_EPS
 
 REL_TOL = 1e-9
@@ -162,3 +167,17 @@ def test_full_degree_projection_reproduces_the_game(game):
     f, p = game
     table = best_k_approximation(f, f.n, p).table().values
     assert np.max(np.abs(table - f.values)) <= _game_tol(f)
+
+
+@SETTINGS
+@given(data=st.data(), n=st.integers(1, 10))
+def test_batched_extension_matches_the_pointwise_sum(data, n):
+    coeff = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+    a = MobiusRepresentation(n, data.draw(arrays(np.float64, 1 << n, elements=coeff)))
+    m = data.draw(st.integers(1, 8))
+    interior = data.draw(arrays(np.float64, (m, n), elements=st.floats(0.0, 1.0)))
+    corners = data.draw(arrays(np.float64, (m, n), elements=st.sampled_from([0.0, 1.0])))
+    points = np.vstack([interior, corners])
+    got = oracle._eval_extension_batch(a, points)
+    want = [eval_multilinear_extension(a, x) for x in points]
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.sum(np.abs(a.coeffs))))
