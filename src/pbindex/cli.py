@@ -153,8 +153,11 @@ def format_subset(mask: Coalition) -> str:
     return "{" + ",".join(str(i) for i in players_from_mask(mask)) + "}"
 
 
+VALUE_SPEC = ".12g"
+
+
 def format_value(value: float) -> str:
-    return f"{value:.12g}"
+    return format(value, VALUE_SPEC)
 
 
 def write_rows(rows: Sequence[ReportRow], fmt: str, out: TextIO) -> None:
@@ -173,6 +176,91 @@ def write_rows(rows: Sequence[ReportRow], fmt: str, out: TextIO) -> None:
             f"{labels[row.subset]:<{width}}  {row.index:<{iwidth}}  {format_value(row.value)}\n"
             for row in rows
         )
+
+
+# subsets formatted and written at a time by write_report
+REPORT_CHUNK = 4096
+REPORT_INDEXES = ("I_B", "Phi_B", "Phi_Sh", "r")
+
+
+def _joined_players(bits: range) -> List[str]:
+    # entry m: the 1-based labels of the set bits of m (taken from ``bits``), comma-joined
+    out = [""]
+    for i in bits:
+        label = str(i + 1)
+        out += [f"{s},{label}" if s else label for s in out]
+    return out
+
+
+def _subset_labeler(n: int):
+    """A function mask -> format_subset(mask) for masks over n players.
+
+    It joins two precomputed lists, one over the low and one over the high
+    half of the bits, so it does no per-player work.
+    """
+    low = (n + 1) // 2
+    lo, hi = _joined_players(range(low)), _joined_players(range(low, n))
+    lo_mask = (1 << low) - 1
+
+    def label(mask: int) -> str:
+        a, b = lo[mask & lo_mask], hi[mask >> low]
+        return "{" + (f"{a},{b}" if a and b else a or b) + "}"
+
+    return label
+
+
+def _label_width(masks: np.ndarray, n: int) -> int:
+    # len(format_subset(S)) = 2 + sum over players (digits + 1), less the
+    # missing trailing comma of a nonempty S
+    width = 2 - (masks != 0).astype(np.int64)
+    for i in range(n):
+        width += (masks >> i & 1) * (len(str(i + 1)) + 1)
+    return int(width.max(initial=2))
+
+
+def write_report(report: indices.IndexReport, fmt: str, out: TextIO) -> None:
+    """Write the rows I_B, Phi_B, Phi_Sh and, where defined, r of every subset.
+
+    The output is the one :func:`write_rows` gives for those rows, but it is
+    formatted straight from the report's columns, ``REPORT_CHUNK`` subsets
+    at a time, with no row objects.
+    """
+    if fmt == "csv":
+        out.write("subset,index,value\n")
+        heads = [f"{name}," for name in REPORT_INDEXES]
+
+        def prefix(text: str) -> str:  # quoted as csv.writer quotes a field with a comma
+            return f'"{text}",' if "," in text else f"{text},"
+
+    else:
+        width = _label_width(report.subsets, report.profile.n)
+        iwidth = max(map(len, REPORT_INDEXES))
+        heads = [f"{name:<{iwidth}}  " for name in REPORT_INDEXES]
+
+        def prefix(text: str) -> str:
+            return f"{text:<{width}}  "
+
+    i_head, phi_head, sh_head, r_head = heads
+    label = _subset_labeler(report.profile.n)
+    for start in range(0, report.subsets.size, REPORT_CHUNK):
+        part = slice(start, start + REPORT_CHUNK)
+        lines = []
+        for S, i_b, phi, sh, r in zip(
+            report.subsets[part].tolist(),
+            report.interaction[part].tolist(),
+            report.influence[part].tolist(),
+            report.shapley[part].tolist(),
+            report.correlation[part].tolist(),
+        ):
+            pre = prefix(label(S))
+            lines.append(
+                f"{pre}{i_head}{i_b:{VALUE_SPEC}}\n"
+                f"{pre}{phi_head}{phi:{VALUE_SPEC}}\n"
+                f"{pre}{sh_head}{sh:{VALUE_SPEC}}\n"
+            )
+            if r == r:  # NaN marks an undefined correlation
+                lines.append(f"{pre}{r_head}{r:{VALUE_SPEC}}\n")
+        out.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +323,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     profile = parse_profile(args.p, game.n)
     subsets = parse_subsets(args.subsets, game.n)
     report = indices.index_report(game, profile, subsets, game_id=str(args.game))
-    rows: List[ReportRow] = []
-    for rec in report.records:
-        rows.append(ReportRow(rec.subset, "I_B", rec.interaction))
-        rows.append(ReportRow(rec.subset, "Phi_B", rec.influence))
-        rows.append(ReportRow(rec.subset, "Phi_Sh", rec.shapley))
-        if rec.correlation is not None:
-            rows.append(ReportRow(rec.subset, "r", rec.correlation))
     out, close = _open_out(args.out)
     try:
-        write_rows(rows, args.format, out)
+        write_report(report, args.format, out)
     finally:
         if close:
             out.close()

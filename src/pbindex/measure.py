@@ -164,7 +164,11 @@ def covariance(
 def variance(profile: ProbabilityProfile, f: PseudoBooleanFunction) -> float:
     """var(f) = E[(f - E[f])^2], centered as in :func:`covariance`, floored at zero."""
     _check_same_n(profile, f)
-    d = f.values - expectation(profile, f)
+    return _centered_variance(profile, f.values - expectation(profile, f))
+
+
+def _centered_variance(profile: ProbabilityProfile, d: np.ndarray) -> float:
+    """E[d^2] for a table d = f - E[f] centered by the caller, floored at zero."""
     return max(_fsum(profile.weights() * d * d), 0.0)
 
 

@@ -117,13 +117,24 @@ def sample_coalition(profile: ProbabilityProfile, rng: np.random.Generator) -> C
     return mask
 
 
+# rows of uniforms or beta variates drawn at a time.  Chunked draws consume
+# the PCG64 stream exactly as one draw of all rows does, so every estimate is
+# the same; the temporaries stay the same size whatever the sample count, and
+# with them their cost, which for one multi-MB array depended on whether
+# earlier frees had raised glibc's dynamic mmap threshold above its size.
+SAMPLE_CHUNK = 1 << 13
+
+
 def sample_coalitions(
     profile: ProbabilityProfile, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """Vectorized batch of :func:`sample_coalition` draws."""
-    u = rng.random((size, profile.n))
     powers = 1 << np.arange(profile.n, dtype=np.int64)
-    return (u < profile.p) @ powers
+    out = np.empty(size, dtype=np.int64)
+    for start in range(0, size, SAMPLE_CHUNK):
+        u = rng.random((min(SAMPLE_CHUNK, size - start), profile.n))
+        out[start : start + len(u)] = (u < profile.p) @ powers
+    return out
 
 
 def _make_estimate(draws: np.ndarray, samples: int, seed: int) -> SampleEstimate:
@@ -273,12 +284,16 @@ def cdf_integral_check(
     check_mask(S, f.n)
     if samples < 1000:
         raise ValidationError(f"need at least 1000 samples, got {samples}")
-    rng = np.random.default_rng(seed)
-    if family == "beta":
-        points = rng.beta(2.0 * profile.p, 2.0 * (1.0 - profile.p), size=(samples, profile.n))
-    elif family == "point":
-        points = np.broadcast_to(profile.p, (samples, profile.n)).copy()
-    else:
+    if family not in CDF_FAMILIES:
         raise ValidationError(f"unknown family {family!r}, expected one of {CDF_FAMILIES}")
-    draws = _eval_extension_batch(mobius(sigma_s(f, S)), points)
+    rng = np.random.default_rng(seed)
+    a = mobius(sigma_s(f, S))
+    draws = np.empty(samples)
+    for start in range(0, samples, SAMPLE_CHUNK):
+        shape = (min(SAMPLE_CHUNK, samples - start), profile.n)
+        if family == "beta":
+            points = rng.beta(2.0 * profile.p, 2.0 * (1.0 - profile.p), size=shape)
+        else:
+            points = np.broadcast_to(profile.p, shape).copy()
+        draws[start : start + shape[0]] = _eval_extension_batch(a, points)
     return _make_estimate(draws, samples, seed)

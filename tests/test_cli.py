@@ -5,14 +5,24 @@ import json
 import numpy as np
 import pytest
 
-from pbindex import ParseError, ValidationError
+from pbindex import (
+    ParseError,
+    PseudoBooleanFunction,
+    ProbabilityProfile,
+    ValidationError,
+    index_report,
+)
+from pbindex import cli, indices
 from pbindex.cli import (
+    ReportRow,
     format_subset,
     main,
     parse_game,
     parse_profile,
     parse_subsets,
     serialize_game,
+    write_report,
+    write_rows,
 )
 
 OR_DOC = {"version": 1, "n": 2, "values": [0, 1, 1, 1]}
@@ -178,6 +188,88 @@ class TestAnalyze:
             "{1,2,3}  Phi_Sh  1\n"
             "{1,2,3}  r       0.5\n"
         )
+
+    def test_csv_report_of_every_subset_is_pinned(self, tmp_path, capsys):
+        # labels with a comma are quoted, as csv.writer quotes them
+        doc = {"version": 1, "weighted_voting": {"quota": 3, "weights": [2, 2, 1]}}
+        rc = main(["analyze", write_game(tmp_path, doc)])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "subset,index,value\n"
+            "{},I_B,0.5\n"
+            "{},Phi_B,0\n"
+            "{},Phi_Sh,0\n"
+            "{1},I_B,0.5\n"
+            "{1},Phi_B,0.5\n"
+            "{1},Phi_Sh,0.333333333333\n"
+            "{1},r,0.5\n"
+            "{2},I_B,0.5\n"
+            "{2},Phi_B,0.5\n"
+            "{2},Phi_Sh,0.333333333333\n"
+            "{2},r,0.5\n"
+            '"{1,2}",I_B,0\n'
+            '"{1,2}",Phi_B,1\n'
+            '"{1,2}",Phi_Sh,1\n'
+            '"{1,2}",r,0.707106781187\n'
+            "{3},I_B,0.5\n"
+            "{3},Phi_B,0.5\n"
+            "{3},Phi_Sh,0.333333333333\n"
+            "{3},r,0.5\n"
+            '"{1,3}",I_B,0\n'
+            '"{1,3}",Phi_B,1\n'
+            '"{1,3}",Phi_Sh,1\n'
+            '"{1,3}",r,0.707106781187\n'
+            '"{2,3}",I_B,0\n'
+            '"{2,3}",Phi_B,1\n'
+            '"{2,3}",Phi_Sh,1\n'
+            '"{2,3}",r,0.707106781187\n'
+            '"{1,2,3}",I_B,-2\n'
+            '"{1,2,3}",Phi_B,1\n'
+            '"{1,2,3}",Phi_Sh,1\n'
+            '"{1,2,3}",r,0.5\n'
+        )
+
+    def test_every_subset_report_builds_no_per_subset_objects(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze built a per-subset object")
+
+        monkeypatch.setattr(indices, "IndexRecord", refuse)
+        monkeypatch.setattr(cli, "ReportRow", refuse)
+        path = write_game(tmp_path, {"version": 1, "n": 5, "random": {"seed": 3}})
+        for fmt in ("csv", "text"):
+            assert main(["analyze", path, "--format", fmt]) == 0
+        assert capsys.readouterr().out.count("\n") == (1 + 4 * 32 - 1) + (4 * 32 - 1)
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    @pytest.mark.parametrize(
+        "subsets",
+        [
+            [0, 2047, 1 << 9, 1 << 10, 0b11000000001] + list(range(3, 2048, 61)),  # tables
+            [1 << 10, 0, 0b11000000001, 1 << 10],  # per subset, with a repeat
+            [],
+        ],
+    )
+    def test_report_writer_matches_the_row_writer(self, subsets, fmt, monkeypatch):
+        # players 10 and 11 take two digits; chunks of 7 subsets split the report
+        monkeypatch.setattr(cli, "REPORT_CHUNK", 7)
+        rng = np.random.default_rng(8)
+        f = PseudoBooleanFunction(11, rng.random(1 << 11))
+        for p in (ProbabilityProfile(rng.uniform(0.05, 0.95, 11)), ProbabilityProfile.uniform(11)):
+            for game in (f, PseudoBooleanFunction(11, np.full(1 << 11, 2.5))):
+                report = index_report(game, p, subsets)
+                rows = []
+                for rec in report.records:
+                    rows += [
+                        ReportRow(rec.subset, "I_B", rec.interaction),
+                        ReportRow(rec.subset, "Phi_B", rec.influence),
+                        ReportRow(rec.subset, "Phi_Sh", rec.shapley),
+                    ]
+                    if rec.correlation is not None:
+                        rows.append(ReportRow(rec.subset, "r", rec.correlation))
+                want, got = io.StringIO(), io.StringIO()
+                write_rows(rows, fmt, want)
+                write_report(report, fmt, got)
+                assert got.getvalue() == want.getvalue()
 
     def test_missing_file_is_a_validation_failure(self, capsys):
         assert main(["analyze", "no/such/game.json"]) == 1

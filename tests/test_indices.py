@@ -9,6 +9,7 @@ from pbindex import (
     GeneralizedValueCoefficients,
     IncompleteTable,
     InvalidCoefficients,
+    PbindexError,
     PseudoBooleanFunction,
     ProbabilityProfile,
     ValidationError,
@@ -32,6 +33,7 @@ from pbindex import (
     taylor_reconstruct,
     unanimity_game,
 )
+from pbindex import indices
 from pbindex.indices import INFLUENCE_METHODS
 from helpers import (
     bits_of,
@@ -562,6 +564,38 @@ class TestIndexReport:
             ref = tables[rec.subset]
             assert rec.influence == pytest.approx(ref.influence, rel=1e-9, abs=1e-30)
             assert rec.correlation == pytest.approx(ref.correlation, rel=1e-9, abs=1e-15)
+
+
+    def test_columns_back_the_records(self):
+        f = random_game(np.random.default_rng(74), 3)
+        p = ProbabilityProfile([0.2, 0.5, 0.7])
+        for subsets in ([0b101, 0, 0b011], list(range(8)) + [0b101, 0]):  # both routes
+            report = index_report(f, p, subsets)
+            assert report.subsets.dtype == np.int64
+            assert report.subsets.tolist() == subsets
+            columns = (report.interaction, report.influence, report.shapley, report.correlation)
+            for column in (report.subsets, *columns):
+                assert column.shape == (len(subsets),) and not column.flags.writeable
+            assert all(column.dtype == np.float64 for column in columns)
+            assert np.isnan(report.correlation).tolist() == [S == 0 for S in subsets]
+            request = np.array(subsets)
+            index_report(f, p, request)
+            assert request.flags.writeable  # the report froze its own copy
+            records = report.records
+            assert records is report.records  # built once
+            assert [r.interaction for r in records] == report.interaction.tolist()
+            assert [r.influence for r in records] == report.influence.tolist()
+            assert [r.shapley for r in records] == report.shapley.tolist()
+            assert [r.correlation for r in records] == [
+                None if S == 0 else r for S, r in zip(subsets, report.correlation.tolist())
+            ]
+
+    def test_correlation_bound_is_checked_then_clamped(self):
+        ones = np.ones(3)
+        r = indices._correlations(np.array([0.5, 1.0 + 1e-13, -1.0 - 1e-13]), 1.0, ones)
+        assert r.tolist() == [0.5, 1.0, -1.0]
+        with pytest.raises(PbindexError, match=r"\|r\| = 1\.5 > 1 \+ 1e-12"):
+            indices._correlations(np.array([0.5, -1.5, 2.0]), 1.0, ones)
 
 
 class TestInteractionTable:

@@ -20,12 +20,15 @@ from pbindex import (
     inner_product,
     lsq_normal_equations,
     mc_expectation,
+    mobius,
     sample_coalition,
     sample_coalitions,
     shapley_generalized_value,
+    sigma_s,
     unanimity_game,
 )
-from pbindex.oracle import _eval_extension_batch
+from pbindex import oracle
+from pbindex.oracle import SAMPLE_CHUNK, _eval_extension_batch
 from helpers import random_game, random_profile
 
 OR = PseudoBooleanFunction(2, [0, 1, 1, 1])
@@ -106,6 +109,14 @@ class TestSampling:
         expected = len(draws) / 16
         stat = np.sum((observed - expected) ** 2 / expected)
         assert stat <= CHI2_DF15_P999
+
+    @pytest.mark.parametrize("n", [1, 6, 24])
+    def test_chunked_batch_equals_one_shot_draws(self, n):
+        p = random_profile(np.random.default_rng(88), n)
+        powers = 1 << np.arange(n, dtype=np.int64)
+        for size in (0, 1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 2 * SAMPLE_CHUNK + 7):
+            want = (np.random.default_rng(size).random((size, n)) < p.p) @ powers
+            assert np.array_equal(sample_coalitions(p, np.random.default_rng(size), size), want)
 
     def test_batch_matches_profile_marginals(self):
         rng = np.random.default_rng(87)
@@ -216,6 +227,20 @@ class TestCdfIntegral:
         est = cdf_integral_check(f, S, p, 1024, seed=6, family="point")
         assert est.std_error == 0.0
         assert abs(est.mean - banzhaf_influence(f, S, p)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 6, 12])
+    def test_chunked_draws_equal_one_shot_draws(self, n, monkeypatch):
+        # beta variates drawn SAMPLE_CHUNK rows at a time take the same PCG64
+        # stream as one draw of every row, so the estimate is bitwise the same
+        monkeypatch.setattr(oracle, "SAMPLE_CHUNK", 7)
+        rng = np.random.default_rng(95 + n)
+        f, p = random_game(rng, n), random_profile(rng, n)
+        S = 1
+        for samples in (1000, 1001, 1006):
+            points = np.random.default_rng(samples).beta(2 * p.p, 2 * (1 - p.p), size=(samples, n))
+            draws = _eval_extension_batch(mobius(sigma_s(f, S)), points)
+            want = oracle._make_estimate(draws, samples, samples)
+            assert cdf_integral_check(f, S, p, samples, seed=samples) == want
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_identical_points_give_identical_values(self, n):

@@ -1,5 +1,6 @@
 """Property tests: the whole-lattice index tables against the per-subset routes,
-the four influence routes against each other, the projections against
+the four influence routes against each other, the inner-product route
+against the dense inner product, the projections against
 the dense basis, and the Monte Carlo oracle's batched multilinear extension
 against the exact-sum evaluation at one point.
 
@@ -32,6 +33,7 @@ from pbindex import (
     best_k_approximation,
     best_s_approximation,
     eval_multilinear_extension,
+    g_function,
     index_report,
     inner_product,
     interaction_table,
@@ -148,6 +150,16 @@ def test_influence_routes_agree(data, game):
     S = data.draw(_masks(f.n))
     vals = [banzhaf_influence(f, S, p, method=m) for m in indices.INFLUENCE_METHODS]
     assert max(vals) - min(vals) <= _game_tol(f)
+
+
+@SETTINGS
+@given(data=st.data(), game=games())
+def test_inner_product_route_sums_the_support_of_g_exactly(data, game):
+    # the terms left out are exact zeros, so the fsum is bitwise the dense one
+    f, p = game
+    S = data.draw(_masks(f.n))
+    got = banzhaf_influence(f, S, p, method="inner-product")
+    assert got == inner_product(p, f, g_function(S, p))
 
 
 @SETTINGS
