@@ -97,17 +97,25 @@ def submasks(mask: Coalition) -> np.ndarray:
     return out
 
 
-def subset_products(x: Sequence[float]) -> np.ndarray:
-    """Table of prod_{i in T} x_i for every mask T, built by doubling.
+def product_table(pairs: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Table over all masks T of prod_i (b_i if bit i is in T else a_i).
 
-    Entry T multiplies the factors in increasing bit order, so two calls with
-    factor vectors that agree except for exact-1.0 entries on disjoint bits
-    produce bitwise-identical products.
+    ``pairs[i] = (a_i, b_i)``.  Entry T starts from 1.0 and multiplies its
+    factors in increasing bit order, so exact 1.0 factors change no bit.
+    Built by doubling into one preallocated array.
     """
-    prods = np.ones(1)
-    for xi in x:
-        prods = np.concatenate([prods, prods * xi])
-    return prods
+    out = np.empty(1 << len(pairs))
+    out[0] = 1.0
+    for i, (a, b) in enumerate(pairs):
+        low = out[: 1 << i]
+        np.multiply(low, b, out=out[1 << i : 2 << i])
+        low *= a
+    return out
+
+
+def subset_products(x: Sequence[float]) -> np.ndarray:
+    """Table of prod_{i in T} x_i for every mask T: :func:`product_table` of (1, x_i)."""
+    return product_table([(1.0, xi) for xi in x])
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .core import (
     check_mask,
     eval_multilinear_extension,
     mobius,
+    product_table,
 )
 from .errors import DimensionError, ValidationError
 
@@ -72,9 +73,7 @@ class ProbabilityProfile:
     def weights(self) -> np.ndarray:
         """All 2**n coalition weights w(T), in mask order (lazily cached)."""
         if self._weights is None:
-            w = np.ones(1)
-            for pi in self.p:
-                w = np.concatenate([w * (1.0 - pi), w * pi])
+            w = product_table([(1.0 - pi, pi) for pi in self.p.tolist()])
             w.setflags(write=False)
             self._weights = w
         return self._weights
@@ -126,17 +125,25 @@ def inner_product(
     return _fsum(profile.weights() * f.values * g.values)
 
 
+def _basis_pairs(profile: ProbabilityProfile, T: Coalition) -> list[tuple[float, float]]:
+    """The :func:`~pbindex.core.product_table` pairs of v_{T,p}.
+
+    (1, 1) off T and (-p_i / s_i, q_i / s_i) on T, with s_i = sqrt(p_i q_i).
+    """
+    pairs = []
+    for i, pi in enumerate(profile.p.tolist()):
+        if T >> i & 1:
+            s = math.sqrt(pi * (1.0 - pi))
+            pairs.append((-pi / s, (1.0 - pi) / s))
+        else:
+            pairs.append((1.0, 1.0))
+    return pairs
+
+
 def basis_function(profile: ProbabilityProfile, T: Coalition) -> PseudoBooleanFunction:
     """The orthonormal basis element v_{T,p} as a dense table."""
     check_mask(T, profile.n)
-    vals = np.ones(1)
-    for i, pi in enumerate(profile.p):
-        if T >> i & 1:
-            s = math.sqrt(pi * (1.0 - pi))
-            vals = np.concatenate([vals * (-pi / s), vals * ((1.0 - pi) / s)])
-        else:
-            vals = np.concatenate([vals, vals])
-    return PseudoBooleanFunction(profile.n, vals)
+    return PseudoBooleanFunction(profile.n, product_table(_basis_pairs(profile, T)))
 
 
 def expectation(profile: ProbabilityProfile, f: PseudoBooleanFunction) -> float:

@@ -13,7 +13,8 @@ meaningful evidence:
   sample points by splitting every mask into a low and a high half:
   fbar(x) = P_high(x)^T A P_low(x), with A the Mobius table as a matrix and
   P the subset products of x over each half.  It shares no code with the
-  butterflies of the production routes.
+  butterflies of the production routes; its row-wise subset products
+  (``_point_products``) deliberately do not use ``core.product_table``.
 * :func:`diagonal_quadrature` and :func:`cube_average` integrate the
   influence index over probability space numerically and in closed form.
 """

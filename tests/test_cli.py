@@ -10,6 +10,7 @@ from pbindex import (
     PseudoBooleanFunction,
     ProbabilityProfile,
     ValidationError,
+    basis_function,
     index_report,
 )
 from pbindex import cli, indices
@@ -338,6 +339,20 @@ class TestVerify:
         assert lines[2].split()[1] == "parseval"
         assert "max deviation" in lines[2]
         assert lines[-1] == "all checks passed"
+
+    def test_chunked_orthonormality_matches_the_dense_gram(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        n = 8
+        profile = ProbabilityProfile(rng.uniform(0.05, 0.95, n))
+        game = PseudoBooleanFunction(n, rng.random(1 << n))
+        picks = np.random.default_rng(5).choice(1 << n, size=64, replace=False)
+        tables = np.stack([basis_function(profile, int(T)).values for T in picks])
+        gram = (tables * profile.weights()) @ tables.T
+        dense = float(np.max(np.abs(gram - np.eye(64))))
+        monkeypatch.setattr(cli, "ORTHO_CHUNK_BITS", 4)  # 16 chunks of 16 coalitions
+        check = cli._check_orthonormality(game, profile, np.random.default_rng(5))
+        assert check.passed
+        assert abs(check.deviation - dense) <= 1e-15
 
     def test_nonuniform_profile(self, tmp_path, capsys):
         rc = main(["verify", write_game(tmp_path, OR_DOC), "--p", "0.3,0.8", "--trials", "4"])

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from pbindex import (
     DomainError,
     MobiusRepresentation,
+    ProbabilityProfile,
     PseudoBooleanFunction,
     ValidationError,
+    basis_function,
     eval_multilinear_extension,
     mobius,
     s_difference,
@@ -15,7 +19,9 @@ from pbindex import (
     weighted_voting_game,
     zeta,
 )
-from pbindex.core import axis_map_inplace, submasks
+from pbindex.core import axis_map_inplace, product_table, submasks, subset_products
+from pbindex.indices import _comp_weights
+from pbindex.oracle import _point_products
 from helpers import brute_mobius, brute_zeta, random_game
 
 OR_VALUES = [0.0, 1.0, 1.0, 1.0]
@@ -89,6 +95,87 @@ class TestSubmasks:
             arr = submasks(mask)
             assert arr.dtype == np.int64
             assert arr.tolist() == list(subsets_of(int(mask)))
+
+
+# The doubling loops that product_table replaced, kept as references.
+def _ref_subset_products(x):
+    prods = np.ones(1)
+    for xi in x:
+        prods = np.concatenate([prods, prods * xi])
+    return prods
+
+
+def _ref_weights(profile):
+    w = np.ones(1)
+    for pi in profile.p:
+        w = np.concatenate([w * (1.0 - pi), w * pi])
+    return w
+
+
+def _ref_basis_function(profile, T):
+    vals = np.ones(1)
+    for i, pi in enumerate(profile.p):
+        if T >> i & 1:
+            s = math.sqrt(pi * (1.0 - pi))
+            vals = np.concatenate([vals * (-pi / s), vals * ((1.0 - pi) / s)])
+        else:
+            vals = np.concatenate([vals, vals])
+    return vals
+
+
+def _ref_comp_weights(S, profile):
+    coeff = np.ones(1)
+    for i in range(profile.n):
+        if not S >> i & 1:
+            coeff = np.concatenate([coeff * (1.0 - profile.p[i]), coeff * profile.p[i]])
+    return coeff
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestProductTable:
+    def _profiles(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 5, 9, 12):
+            for _ in range(4):
+                p = rng.uniform(0.05, 0.95, n)
+                # the interior bound on either side, on some players
+                p[rng.random(n) < 0.3] = 1e-9
+                p[rng.random(n) < 0.3] = 1.0 - 1e-9
+                yield rng, ProbabilityProfile(p)
+
+    def test_entry_is_the_product_in_bit_order(self):
+        pairs = [(2.0, 3.0), (5.0, 7.0), (11.0, 13.0)]
+        assert product_table(pairs).tolist() == [
+            2 * 5 * 11, 3 * 5 * 11, 2 * 7 * 11, 3 * 7 * 11,
+            2 * 5 * 13, 3 * 5 * 13, 2 * 7 * 13, 3 * 7 * 13,
+        ]
+        assert product_table([]).tolist() == [1.0]
+
+    def test_bitwise_equal_to_the_doubling_loops(self):
+        for rng, profile in self._profiles():
+            n = profile.n
+            assert _bitwise_equal(subset_products(profile.p), _ref_subset_products(profile.p))
+            inv = [1.0 / (1.0 - pi) for pi in profile.p]
+            assert _bitwise_equal(subset_products(inv), _ref_subset_products(inv))
+            assert _bitwise_equal(profile.weights(), _ref_weights(profile))
+            for T in (0, (1 << n) - 1, *rng.integers(0, 1 << n, 3).tolist()):
+                assert _bitwise_equal(
+                    basis_function(profile, T).values, _ref_basis_function(profile, T)
+                )
+                assert _bitwise_equal(_comp_weights(T, profile), _ref_comp_weights(T, profile))
+
+    def test_rows_bitwise_equal_to_the_oracle_point_products(self):
+        rng = np.random.default_rng(19)
+        for k in (0, 1, 4, 10):
+            x = rng.random((6, k))
+            x[0] = 1e-9
+            x[1] = 1.0 - 1e-9
+            table = _point_products(x)
+            for j in range(x.shape[0]):
+                assert _bitwise_equal(product_table([(1.0, xi) for xi in x[j]]), table[j])
 
 
 class TestAxisMap:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -589,6 +590,27 @@ class TestIndexReport:
             assert [r.correlation for r in records] == [
                 None if S == 0 else r for S, r in zip(subsets, report.correlation.tolist())
             ]
+
+    def test_bad_masks_are_named_in_request_order(self):
+        f = random_game(np.random.default_rng(75), 3)
+        p = ProbabilityProfile([0.2, 0.5, 0.7])
+        for bad in (1 << 70, 8, -1, True, 2.0, np.uint64(2**64 - 1), np.bool_(True)):
+            for subsets in ([1, bad, 3], [1, 2, 3, 4, bad, 1 << 70]):  # both routes
+                with pytest.raises(ValidationError, match=re.escape(f"mask {bad!r} is not")):
+                    index_report(f, p, subsets)
+
+    def test_numpy_integer_masks_match_plain_ints(self):
+        f = random_game(np.random.default_rng(76), 3)
+        p = ProbabilityProfile([0.2, 0.5, 0.7])
+        for subsets in ([0b101, 0, 0b011], list(range(8)) + [0b101, 0]):  # both routes
+            plain = index_report(f, p, subsets)
+            for request in (np.array(subsets), [np.int64(S) for S in subsets]):
+                report = index_report(f, p, request)
+                assert report.subsets.tolist() == subsets
+                for name in ("interaction", "influence", "shapley", "correlation"):
+                    assert np.array_equal(
+                        getattr(report, name), getattr(plain, name), equal_nan=True
+                    )
 
     def test_correlation_bound_is_checked_then_clamped(self):
         ones = np.ones(3)
