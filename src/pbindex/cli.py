@@ -382,38 +382,31 @@ def _check_four_way(game, profile, rng, trials, inject_fault) -> CheckResult:
     return CheckResult("four-way-influence", worst <= 1e-9, worst)
 
 
-# the orthonormality Gram is summed over chunks of 2**ORTHO_CHUNK_BITS
-# coalitions, ORTHO_ROW_BLOCK of its rows at a time
+# the orthonormality Gram is multiplied over groups of ORTHO_CHUNK_BITS
+# players, ORTHO_ROW_BLOCK of its rows at a time
 ORTHO_CHUNK_BITS = 16
 ORTHO_ROW_BLOCK = 16
 
 
 def _check_orthonormality(game, profile, rng) -> CheckResult:
-    # Gram of up to 64 dense basis tables v_{T,p}, one coalition chunk at a
-    # time, so that memory stays at two 64 x 2**16 tables at any n.  A row's
-    # chunk is the product table of its low axes times the factors of the
-    # chunk's high bits, multiplied in bit order as in the dense table.  The
-    # weighted copy is made ORTHO_ROW_BLOCK rows at a time, which keeps it
-    # small; OpenBLAS gives a block's products the same bits as one 64-row
-    # product (checked for 8 to 32 rows; single rows take gemv and differ).
+    # Gram of up to 64 basis tables v_{T,p}.  They and the weights are
+    # products of per-player factors, so the Gram is the entrywise product of
+    # the Grams over groups of players (one group, the dense Gram, at n <= 16).
+    # The weighted copy is made ORTHO_ROW_BLOCK rows at a time; OpenBLAS gives
+    # a block the bits of one 64-row product (checked for 8 to 32 rows).
     size = 1 << game.n
     if size <= 64:
         picks = np.arange(size)
     else:
         picks = rng.choice(size, size=64, replace=False)
-    pairs = np.array([measure._basis_pairs(profile, int(T)) for T in picks])
-    low = min(game.n, ORTHO_CHUNK_BITS)
-    lows = np.stack([product_table(row) for row in pairs[:, :low].tolist()])
-    weights = profile.weights()
-    gram = np.zeros((len(picks), len(picks)))
-    buf = np.empty_like(lows) if game.n > low else None
-    for c in range(1 << (game.n - low)):
-        rows = lows
-        for j in range(game.n - low):
-            rows = np.multiply(rows, pairs[:, low + j, c >> j & 1, None], out=buf)
-        w = weights[c << low : (c + 1) << low]
+    pairs = [measure._basis_pairs(profile, int(T)) for T in picks]
+    gram = np.ones((len(picks), len(picks)))
+    for lo in range(0, game.n, ORTHO_CHUNK_BITS):
+        hi = lo + ORTHO_CHUNK_BITS
+        rows = np.stack([product_table(pair[lo:hi]) for pair in pairs])
+        w = ProbabilityProfile(profile.p[lo:hi]).weights()
         for r in range(0, len(picks), ORTHO_ROW_BLOCK):
-            gram[r : r + ORTHO_ROW_BLOCK] += (rows[r : r + ORTHO_ROW_BLOCK] * w) @ rows.T
+            gram[r : r + ORTHO_ROW_BLOCK] *= (rows[r : r + ORTHO_ROW_BLOCK] * w) @ rows.T
     worst = float(np.max(np.abs(gram - np.eye(len(picks)))))
     return CheckResult("orthonormality", worst <= 1e-10, worst)
 

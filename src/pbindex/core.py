@@ -286,6 +286,11 @@ def unanimity_game(n: int, T: Coalition) -> PseudoBooleanFunction:
     return PseudoBooleanFunction(n, ((masks & T) == T).astype(np.float64))
 
 
+# coalitions weighted_voting_game sums at a time, a power of two: OpenBLAS
+# sums a product's leftover rows in another order (7-row chunks flipped ties)
+VOTING_CHUNK = 1 << 16
+
+
 def weighted_voting_game(quota: float, weights: Sequence[float]) -> PseudoBooleanFunction:
     """Simple game [quota; w_1, ..., w_n]: a coalition wins iff its weight meets the quota."""
     wvec = np.asarray(weights, dtype=np.float64)
@@ -293,5 +298,9 @@ def weighted_voting_game(quota: float, weights: Sequence[float]) -> PseudoBoolea
     if not np.all(np.isfinite(wvec)) or not np.isfinite(quota):
         raise ValidationError("quota and weights must be finite")
     n = int(wvec.size)
-    member = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1
-    return PseudoBooleanFunction(n, (member @ wvec >= quota).astype(np.float64))
+    wins = np.empty(1 << n)
+    for start in range(0, 1 << n, VOTING_CHUNK):  # bounds the 0/1 member matrix
+        masks = np.arange(start, min(start + VOTING_CHUNK, 1 << n))
+        member = (masks[:, None] >> np.arange(n)) & 1
+        wins[start : start + masks.size] = member @ wvec >= quota
+    return PseudoBooleanFunction(n, wins)

@@ -561,12 +561,12 @@ def index_report(
     a down to 1e-6 and p_i near 0 or 1 it put r off by up to 2e-2 (random
     sweep, n <= 9).
 
-    Measured crossover (2-vCPU Xeon guest, numpy 2.4, uniform random game):
-    the tables take 8 ms at n=11, 35 ms at n=14, 0.28 s at n=17 and 2.8 s
-    at n=20, as much as 9-12, 9, 8-13 and 8-14 per-subset calls.  A call
-    costs most at |S| = 1 (the low ends) and less at |S| near n/2 (the high
-    ends).  The cut at n lies inside that break-even range at n=11 and is
-    late above it, by up to 1.6x at n=14 and 2.5x at n=20.
+    Measured crossover (2-vCPU Xeon guest, numpy 2.4, uniform random game,
+    best of 3): the tables take 7.3 ms at n=11, 34 ms at n=14, 0.35 s at
+    n=17 and 3.35 s at n=20, as much as 11-20, 9-20, 17-26 and 13-28
+    per-subset calls.  A call costs most at |S| = 1 (the low ends) and less
+    at |S| near n/2 (the high ends).  The cut at n lies inside that
+    break-even range at every measured n, at its low end for n=11 and 17.
     """
     _check_same_n(profile, f)
     masks = _mask_array(subsets, f.n)

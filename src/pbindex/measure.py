@@ -96,9 +96,9 @@ def _fsum(terms: np.ndarray) -> float:
     # math.fsum returns the correctly rounded sum, independent of order and of
     # how the terms are fed to it, so chunking changes no bit of the result;
     # it only caps the list of Python floats alive at once at FSUM_CHUNK.
-    # Arrays that fit in one chunk skip the chain: it costs 1.5 us at 8
-    # elements, 10 us (9%) at 2048 and 47 us (5%) at 16384 (2-vCPU Xeon
-    # guest), and analyze-all makes about 4900 such calls per run.
+    # Arrays that fit in one chunk skip the chain: it costs about 1 us at 8
+    # elements, 4 us (5%) at 2048 and up to 4% at 16384 (2-vCPU Xeon guest,
+    # best of 7).  The benchmark workloads make 60-102 calls per iteration.
     if terms.size <= FSUM_CHUNK:
         return math.fsum(terms.tolist())
     return math.fsum(

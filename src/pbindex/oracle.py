@@ -249,18 +249,13 @@ def _eval_extension_batch(a: MobiusRepresentation, points: np.ndarray) -> np.nda
     bilinear form of A with the subset products of x over either half.  Each
     point still costs 2**n multiply-adds, now as contiguous dot products.
     ``einsum`` rather than BLAS: its sums depend on a row's values only, so
-    identical points give bitwise identical values wherever they sit.
+    identical points give bitwise identical values wherever they sit.  The
+    caller bounds the batch: its tables hold rows * 2**(n - low) entries.
     """
     low = a.n // 2
-    high = a.n - low
-    A = a.coeffs.reshape(1 << high, 1 << low)
-    chunk = max(1, EXTENSION_CHUNK >> high)
-    out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], chunk):
-        x = points[start : start + chunk]
-        partial = np.einsum("pl,hl->ph", _point_products(x[:, :low]), A)
-        out[start : start + chunk] = np.einsum("ph,ph->p", _point_products(x[:, low:]), partial)
-    return out
+    A = a.coeffs.reshape(-1, 1 << low)
+    partial = np.einsum("pl,hl->ph", _point_products(points[:, :low]), A)
+    return np.einsum("ph,ph->p", _point_products(points[:, low:]), partial)
 
 
 CDF_FAMILIES = ("beta", "point")
@@ -290,8 +285,9 @@ def cdf_integral_check(
     rng = np.random.default_rng(seed)
     a = mobius(sigma_s(f, S))
     draws = np.empty(samples)
-    for start in range(0, samples, SAMPLE_CHUNK):
-        shape = (min(SAMPLE_CHUNK, samples - start), profile.n)
+    chunk = min(SAMPLE_CHUNK, max(1, EXTENSION_CHUNK >> (f.n - f.n // 2)))
+    for start in range(0, samples, chunk):
+        shape = (min(chunk, samples - start), profile.n)
         if family == "beta":
             points = rng.beta(2.0 * profile.p, 2.0 * (1.0 - profile.p), size=shape)
         else:

@@ -341,18 +341,28 @@ class TestVerify:
         assert lines[-1] == "all checks passed"
 
     def test_chunked_orthonormality_matches_the_dense_gram(self, monkeypatch):
-        rng = np.random.default_rng(23)
-        n = 8
-        profile = ProbabilityProfile(rng.uniform(0.05, 0.95, n))
-        game = PseudoBooleanFunction(n, rng.random(1 << n))
-        picks = np.random.default_rng(5).choice(1 << n, size=64, replace=False)
-        tables = np.stack([basis_function(profile, int(T)).values for T in picks])
-        gram = (tables * profile.weights()) @ tables.T
-        dense = float(np.max(np.abs(gram - np.eye(64))))
-        monkeypatch.setattr(cli, "ORTHO_CHUNK_BITS", 4)  # 16 chunks of 16 coalitions
-        check = cli._check_orthonormality(game, profile, np.random.default_rng(5))
-        assert check.passed
-        assert abs(check.deviation - dense) <= 1e-15
+        monkeypatch.setattr(cli, "ORTHO_CHUNK_BITS", 4)  # groups of 4 + 4 and 4 + 4 + 1 players
+        for n in (8, 9):
+            rng = np.random.default_rng(23)
+            profile = ProbabilityProfile(rng.uniform(0.05, 0.95, n))
+            game = PseudoBooleanFunction(n, rng.random(1 << n))
+            picks = np.random.default_rng(5).choice(1 << n, size=64, replace=False)
+            tables = np.stack([basis_function(profile, int(T)).values for T in picks])
+            gram = (tables * profile.weights()) @ tables.T
+            dense = float(np.max(np.abs(gram - np.eye(64))))
+            check = cli._check_orthonormality(game, profile, np.random.default_rng(5))
+            assert check.passed
+            assert abs(check.deviation - dense) <= 1e-15
+
+    def test_verify_runs_past_sixteen_players(self, tmp_path, capsys):
+        # two player groups (16 + 1) and CDF draws of 2**20 >> 9 = 2048 rows
+        doc = {"version": 1, "n": 17, "random": {"seed": 4, "distribution": "uniform"}}
+        argv = ["verify", write_game(tmp_path, doc), "--p", "0.3", "--trials", "1", "--samples", "200"]
+        rc = main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert [line.split()[0] for line in lines[:-1]] == ["PASS"] * 5
+        assert lines[-1] == "all checks passed"
 
     def test_nonuniform_profile(self, tmp_path, capsys):
         rc = main(["verify", write_game(tmp_path, OR_DOC), "--p", "0.3,0.8", "--trials", "4"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from pbindex import (
     weighted_voting_game,
     zeta,
 )
+from pbindex import core
 from pbindex.core import axis_map_inplace, product_table, submasks, subset_products
 from pbindex.indices import _comp_weights
 from pbindex.oracle import _point_products
@@ -334,6 +336,30 @@ class TestWeightedVoting:
     def test_rejects_non_finite_weights(self):
         with pytest.raises(ValidationError):
             weighted_voting_game(1, [np.inf, 1.0])
+
+    def test_chunks_keep_every_tie(self, monkeypatch):
+        # quotas at exact subset sums of fractional weights: each coalition's
+        # sum must be the one a single product over all coalitions gives
+        monkeypatch.setattr(core, "VOTING_CHUNK", 1 << 5)
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            w = rng.choice([0.1, 0.2, 0.3, 0.7, 1.1, 1 / 3, 2 / 7], size=n) * rng.choice([1, 3.7])
+            member = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1
+            sums = member @ w
+            quota = float(sums[int(rng.integers(0, 1 << n))])
+            want = (sums >= quota).astype(np.float64)
+            assert np.array_equal(weighted_voting_game(quota, w).values, want)
+
+    def test_memory_stays_bounded_at_twenty_players(self):
+        w = np.random.default_rng(42).random(20)
+        tracemalloc.start()
+        try:
+            weighted_voting_game(float(w.sum() / 2), w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
 
 
 class TestValidation:

@@ -230,9 +230,11 @@ class TestCdfIntegral:
 
     @pytest.mark.parametrize("n", [1, 6, 12])
     def test_chunked_draws_equal_one_shot_draws(self, n, monkeypatch):
-        # beta variates drawn SAMPLE_CHUNK rows at a time take the same PCG64
-        # stream as one draw of every row, so the estimate is bitwise the same
+        # beta variates drawn in chunks of rows take the same PCG64 stream as
+        # one draw of every row, so the estimate is bitwise the same; at n = 12
+        # the extension bounds the chunks to 2**8 >> 6 = 4 rows
         monkeypatch.setattr(oracle, "SAMPLE_CHUNK", 7)
+        monkeypatch.setattr(oracle, "EXTENSION_CHUNK", 1 << 8)
         rng = np.random.default_rng(95 + n)
         f, p = random_game(rng, n), random_profile(rng, n)
         S = 1
