@@ -38,7 +38,6 @@ from .errors import (
 )
 from .indices import (
     GeneralizedValueCoefficients,
-    IndexRecord,
     IndexReport,
     banzhaf_influence,
     banzhaf_interaction,

@@ -10,19 +10,23 @@ generator spec, e.g.
 
 Generators expand at parse time, so everything downstream sees a dense table.
 Subcommands: ``analyze``, ``approximate``, ``verify``, ``generate``.
+``analyze`` and ``approximate --format csv`` write their rows through one
+writer, :func:`write_rows`, from float columns aligned with an array of
+subsets.
 Exit codes: 0 success, 1 validation or parse error, 2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, TextIO, Union
+from typing import List, Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -31,10 +35,12 @@ from . import indices, measure, oracle
 from .core import (
     Coalition,
     PseudoBooleanFunction,
+    check_players,
     mask_from_players,
     players_from_mask,
     product_table,
-    subsets_of,
+    submasks,
+    unanimity_game,
     weighted_voting_game,
 )
 from .errors import ParseError, PbindexError, ValidationError
@@ -60,18 +66,18 @@ def _expand_weighted_voting(spec: dict) -> PseudoBooleanFunction:
 def _expand_unanimity(spec: dict, n: Optional[int]) -> PseudoBooleanFunction:
     if n is None:
         raise ParseError("unanimity generator needs a top-level 'n'")
+    check_players(n)
     try:
         players = [int(i) for i in spec["players"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"unanimity needs a 'players' list: {exc}") from exc
-    from .core import unanimity_game
-
     return unanimity_game(n, mask_from_players(players, n))
 
 
 def _expand_random(spec: dict, n: Optional[int]) -> PseudoBooleanFunction:
     if n is None:
         raise ParseError("random generator needs a top-level 'n'")
+    check_players(n)  # before drawing 2**n worths
     try:
         seed = int(spec["seed"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -141,15 +147,6 @@ def serialize_game(f: PseudoBooleanFunction, dest: Union[str, Path, TextIO]) -> 
 # report rows and rendering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReportRow:
-    """One output line: a subset, an index name, and its value."""
-
-    subset: Coalition
-    index: str
-    value: float
-
-
 def format_subset(mask: Coalition) -> str:
     return "{" + ",".join(str(i) for i in players_from_mask(mask)) + "}"
 
@@ -157,31 +154,8 @@ def format_subset(mask: Coalition) -> str:
 VALUE_SPEC = ".12g"
 
 
-def format_value(value: float) -> str:
-    return format(value, VALUE_SPEC)
-
-
-def write_rows(rows: Sequence[ReportRow], fmt: str, out: TextIO) -> None:
-    # a report repeats each subset on several rows: label each subset once
-    labels = {S: format_subset(S) for S in dict.fromkeys(row.subset for row in rows)}
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["subset", "index", "value"])
-        writer.writerows(
-            (labels[row.subset], row.index, format_value(row.value)) for row in rows
-        )
-    else:
-        width = max(map(len, labels.values()), default=2)
-        iwidth = max((len(r.index) for r in rows), default=5)
-        out.writelines(
-            f"{labels[row.subset]:<{width}}  {row.index:<{iwidth}}  {format_value(row.value)}\n"
-            for row in rows
-        )
-
-
-# subsets formatted and written at a time by write_report
+# subsets formatted and written at a time by write_rows
 REPORT_CHUNK = 4096
-REPORT_INDEXES = ("I_B", "Phi_B", "Phi_Sh", "r")
 
 
 def _joined_players(bits: range) -> List[str]:
@@ -219,49 +193,49 @@ def _label_width(masks: np.ndarray, n: int) -> int:
     return int(width.max(initial=2))
 
 
-def write_report(report: indices.IndexReport, fmt: str, out: TextIO) -> None:
-    """Write the rows I_B, Phi_B, Phi_Sh and, where defined, r of every subset.
+def write_rows(
+    subsets: np.ndarray, columns: Mapping[str, np.ndarray], n: int, fmt: str, out: TextIO
+) -> None:
+    """Write the rows (subset, index, value) of a report held as columns.
 
-    The output is the one :func:`write_rows` gives for those rows, but it is
-    formatted straight from the report's columns, ``REPORT_CHUNK`` subsets
-    at a time, with no row objects.
+    ``columns`` maps each index name to a float64 array aligned with
+    ``subsets`` (masks over n players).  Every subset gets one row per
+    column, in column order; a NaN value writes no row.  ``fmt`` is "csv"
+    (a ``subset,index,value`` header, labels with a comma quoted as
+    ``csv.writer`` quotes them) or "text" (aligned columns).  Rows are
+    formatted ``REPORT_CHUNK`` subsets at a time.
     """
+    names = list(columns)
     if fmt == "csv":
         out.write("subset,index,value\n")
-        heads = [f"{name}," for name in REPORT_INDEXES]
+        heads = [f"{name}," for name in names]
 
-        def prefix(text: str) -> str:  # quoted as csv.writer quotes a field with a comma
+        def prefix(text: str) -> str:
             return f'"{text}",' if "," in text else f"{text},"
 
     else:
-        width = _label_width(report.subsets, report.profile.n)
-        iwidth = max(map(len, REPORT_INDEXES))
-        heads = [f"{name:<{iwidth}}  " for name in REPORT_INDEXES]
+        width = _label_width(subsets, n)
+        iwidth = max(map(len, names))
+        heads = [f"{name:<{iwidth}}  " for name in names]
 
         def prefix(text: str) -> str:
             return f"{text:<{width}}  "
 
-    i_head, phi_head, sh_head, r_head = heads
-    label = _subset_labeler(report.profile.n)
-    for start in range(0, report.subsets.size, REPORT_CHUNK):
+    label = _subset_labeler(n)
+    for start in range(0, len(subsets), REPORT_CHUNK):
         part = slice(start, start + REPORT_CHUNK)
-        lines = []
-        for S, i_b, phi, sh, r in zip(
-            report.subsets[part].tolist(),
-            report.interaction[part].tolist(),
-            report.influence[part].tolist(),
-            report.shapley[part].tolist(),
-            report.correlation[part].tolist(),
-        ):
-            pre = prefix(label(S))
-            lines.append(
-                f"{pre}{i_head}{i_b:{VALUE_SPEC}}\n"
-                f"{pre}{phi_head}{phi:{VALUE_SPEC}}\n"
-                f"{pre}{sh_head}{sh:{VALUE_SPEC}}\n"
-            )
-            if r == r:  # NaN marks an undefined correlation
-                lines.append(f"{pre}{r_head}{r:{VALUE_SPEC}}\n")
-        out.write("".join(lines))
+        pres = [prefix(label(S)) for S in subsets[part].tolist()]
+        rows = []
+        for head, column in zip(heads, columns.values()):
+            column = column[part]
+            lines = [
+                f"{pre}{head}{value:{VALUE_SPEC}}\n" for pre, value in zip(pres, column.tolist())
+            ]
+            for k in np.flatnonzero(np.isnan(column)).tolist():
+                lines[k] = ""  # a NaN writes no row
+            rows.append(lines)
+        # subset by subset, its rows in column order
+        out.write("".join(itertools.chain.from_iterable(zip(*rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +284,10 @@ def parse_subsets(selector: str, n: int) -> List[Coalition]:
 
 
 def _open_out(path: Optional[str]):
+    # a context manager over the output stream; it leaves stdout open
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -324,40 +299,41 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     profile = parse_profile(args.p, game.n)
     subsets = parse_subsets(args.subsets, game.n)
     report = indices.index_report(game, profile, subsets, game_id=str(args.game))
-    out, close = _open_out(args.out)
-    try:
-        write_report(report, args.format, out)
-    finally:
-        if close:
-            out.close()
+    columns = {
+        "I_B": report.interaction,
+        "Phi_B": report.influence,
+        "Phi_Sh": report.shapley,
+        "r": report.correlation,
+    }
+    with _open_out(args.out) as out:
+        write_rows(report.subsets, columns, game.n, args.format, out)
     return 0
 
 
 def cmd_approximate(args: argparse.Namespace) -> int:
     game = parse_game(args.game)
     profile = parse_profile(args.p, game.n)
-    (subset,) = parse_subsets(args.subset, game.n)
+    picked = parse_subsets(args.subset, game.n)
+    if len(picked) != 1:
+        raise ValidationError(f"--subset must name one subset, got {len(picked)}")
+    (subset,) = picked
     approximation = approx_mod.best_s_approximation(game, subset, profile)
     residual = approx_mod.residual_norm(game, approximation, profile)
-    multilinear = approximation.multilinear.coeffs
-    rows = [ReportRow(T, "coeff", float(multilinear[T])) for T in subsets_of(subset)]
-    rows.append(ReportRow(subset, "I_B", float(multilinear[subset])))
-    rows.append(ReportRow(subset, "residual", residual))
-    out, close = _open_out(args.out)
-    try:
+    subsets = submasks(subset)
+    coeffs = approximation.multilinear.coeffs[subsets]
+    with _open_out(args.out) as out:
         if args.format == "csv":
-            write_rows(rows, "csv", out)
+            # I_B and the residual are rows of S alone, the last submask
+            only_s = np.full((2, subsets.size), np.nan)
+            only_s[:, -1] = coeffs[-1], residual
+            columns = {"coeff": coeffs, "I_B": only_s[0], "residual": only_s[1]}
+            write_rows(subsets, columns, game.n, "csv", out)
         else:
             out.write(f"best approximation on variables {format_subset(subset)}\n")
-            for T in subsets_of(subset):
+            for T, coeff in zip(subsets.tolist(), coeffs.tolist()):
                 marker = "  (leading coefficient = interaction index I_B)" if T == subset else ""
-                out.write(
-                    f"  coeff u_{format_subset(T)} = {format_value(float(multilinear[T]))}{marker}\n"
-                )
-            out.write(f"  residual = {format_value(residual)}\n")
-    finally:
-        if close:
-            out.close()
+                out.write(f"  coeff u_{format_subset(T)} = {coeff:{VALUE_SPEC}}{marker}\n")
+            out.write(f"  residual = {residual:{VALUE_SPEC}}\n")
     return 0
 
 
@@ -460,8 +436,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _check_monte_carlo(game, profile, rng, args.samples, args.seed),
         _check_quadrature(game, rng),
     ]
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         for check in checks:
             status = "PASS" if check.passed else "FAIL"
             out.write(f"{status}  {check.name:<20}  max deviation {check.deviation:.3e}\n")
@@ -471,9 +446,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return 2
         out.write("all checks passed\n")
         return 0
-    finally:
-        if close:
-            out.close()
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -123,7 +123,10 @@ def subset_products(x: Sequence[float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _as_table(values, n: int, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).copy()
+    try:
+        arr = np.asarray(values, dtype=np.float64).copy()
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} needs numeric entries: {exc}") from exc
     if arr.shape != (1 << n,):
         raise ValidationError(
             f"{what} needs exactly 2**{n} = {1 << n} entries, got shape {arr.shape}"

@@ -1,0 +1,41 @@
+"""The benchmark's hooks into the package resolve.
+
+``perfbench/gate.py`` imports pbindex functions, and ``perfbench/spans.py``
+wraps pbindex functions by name.  Renaming or deleting one of them would
+break only the traced benchmark run; these tests make it fail here too.
+"""
+
+import importlib
+import json
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module(name)
+
+
+def test_gate_imports_resolve(monkeypatch):
+    gate = _load(monkeypatch, "gate")
+    assert callable(gate.check_analyze)
+
+
+def test_tracer_wraps_every_target_and_restores_it(monkeypatch, tmp_path):
+    spans = _load(monkeypatch, "spans")
+    from pbindex import cli
+
+    original = cli.write_rows
+    game = tmp_path / "or.json"
+    game.write_text(json.dumps({"version": 1, "n": 2, "values": [0, 1, 1, 1]}))
+    tracer = spans.Tracer()
+    try:
+        tracer.enable()
+        assert cli.write_rows is not original
+        assert cli.main(["analyze", str(game), "--out", str(tmp_path / "out.csv")]) == 0
+    finally:
+        tracer.disable()
+    assert cli.write_rows is original
+    # analyze writes its report inside a span of its own
+    assert "cli.write_rows" in {name for _, name, _, _, _ in tracer.spans}

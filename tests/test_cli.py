@@ -15,14 +15,12 @@ from pbindex import (
 )
 from pbindex import cli, indices
 from pbindex.cli import (
-    ReportRow,
     format_subset,
     main,
     parse_game,
     parse_profile,
     parse_subsets,
     serialize_game,
-    write_report,
     write_rows,
 )
 
@@ -84,6 +82,22 @@ class TestParseGame:
             parse_game(io.StringIO(json.dumps({"n": 2, "values": [0, 1, 1]})))
         with pytest.raises(ValidationError):
             parse_game(io.StringIO(json.dumps({"n": 25, "values": [0.0]})))
+
+    @pytest.mark.parametrize("n", [-1, 0, 25, 100])
+    def test_generator_player_count_is_checked_before_drawing(self, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a random table before checking n")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for spec in ({"random": {"seed": 1}}, {"unanimity": {"players": [1]}}):
+            with pytest.raises(ValidationError, match="player count"):
+                parse_game(io.StringIO(json.dumps({"version": 1, "n": n, **spec})))
+
+    @pytest.mark.parametrize("worth", ["a", {}, [1, 2]])
+    def test_non_numeric_worths_fail_validation(self, tmp_path, capsys, worth):
+        path = write_game(tmp_path, {"version": 1, "n": 1, "values": [0, worth]})
+        assert main(["analyze", path]) == 1
+        assert capsys.readouterr().err.startswith("error: game table needs numeric entries")
 
     def test_serialize_roundtrip(self, tmp_path):
         game = parse_game(io.StringIO(json.dumps(OR_DOC)))
@@ -232,14 +246,51 @@ class TestAnalyze:
 
     def test_every_subset_report_builds_no_per_subset_objects(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("analyze built a per-subset object")
+            raise AssertionError("analyze made a per-subset call")
 
-        monkeypatch.setattr(indices, "IndexRecord", refuse)
-        monkeypatch.setattr(cli, "ReportRow", refuse)
+        for name in (
+            "banzhaf_interaction", "banzhaf_influence", "shapley_generalized_value", "g_std"
+        ):
+            monkeypatch.setattr(indices, name, refuse)
+        monkeypatch.setattr(cli, "format_subset", refuse)
         path = write_game(tmp_path, {"version": 1, "n": 5, "random": {"seed": 3}})
         for fmt in ("csv", "text"):
             assert main(["analyze", path, "--format", fmt]) == 0
         assert capsys.readouterr().out.count("\n") == (1 + 4 * 32 - 1) + (4 * 32 - 1)
+
+    def test_reports_are_written_through_write_rows(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def record(subsets, columns, n, fmt, out):
+            calls.append((subsets.tolist(), list(columns), n, fmt))
+
+        monkeypatch.setattr(cli, "write_rows", record)
+        path = write_game(tmp_path, OR_DOC)
+        assert main(["analyze", path, "--subsets", "1;0;1"]) == 0
+        assert main(["approximate", path, "--subset", "1,2", "--format", "csv"]) == 0
+        assert calls == [
+            ([1, 0, 1], ["I_B", "Phi_B", "Phi_Sh", "r"], 2, "csv"),
+            ([0, 1, 2, 3], ["coeff", "I_B", "residual"], 2, "csv"),
+        ]
+
+    @staticmethod
+    def _row_writer(subsets, columns, n, fmt, out):
+        # reference: one (subset, index, value) row per non-NaN value, written by csv.writer
+        rows = [
+            (format_subset(S), name, value)
+            for S, *values in zip(subsets.tolist(), *(c.tolist() for c in columns.values()))
+            for name, value in zip(columns, values)
+            if not np.isnan(value)
+        ]
+        if fmt == "csv":
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(["subset", "index", "value"])
+            writer.writerows((label, name, format(value, ".12g")) for label, name, value in rows)
+        else:
+            width = max((len(label) for label, _, _ in rows), default=2)
+            iwidth = max((len(name) for _, name, _ in rows), default=5)
+            for label, name, value in rows:
+                out.write(f"{label:<{width}}  {name:<{iwidth}}  {value:.12g}\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "text"])
     @pytest.mark.parametrize(
@@ -258,19 +309,22 @@ class TestAnalyze:
         for p in (ProbabilityProfile(rng.uniform(0.05, 0.95, 11)), ProbabilityProfile.uniform(11)):
             for game in (f, PseudoBooleanFunction(11, np.full(1 << 11, 2.5))):
                 report = index_report(game, p, subsets)
-                rows = []
-                for rec in report.records:
-                    rows += [
-                        ReportRow(rec.subset, "I_B", rec.interaction),
-                        ReportRow(rec.subset, "Phi_B", rec.influence),
-                        ReportRow(rec.subset, "Phi_Sh", rec.shapley),
-                    ]
-                    if rec.correlation is not None:
-                        rows.append(ReportRow(rec.subset, "r", rec.correlation))
-                want, got = io.StringIO(), io.StringIO()
-                write_rows(rows, fmt, want)
-                write_report(report, fmt, got)
-                assert got.getvalue() == want.getvalue()
+                # the analyze columns, and approximate's shape: NaN except on the last subset
+                last = np.full(len(subsets), np.nan)
+                last[-1:] = report.influence[-1:]
+                for columns in (
+                    {
+                        "I_B": report.interaction,
+                        "Phi_B": report.influence,
+                        "Phi_Sh": report.shapley,
+                        "r": report.correlation,
+                    },
+                    {"coeff": report.shapley, "I_B": last, "residual": last},
+                ):
+                    want, got = io.StringIO(), io.StringIO()
+                    self._row_writer(report.subsets, columns, 11, fmt, want)
+                    write_rows(report.subsets, columns, 11, fmt, got)
+                    assert got.getvalue() == want.getvalue()
 
     def test_missing_file_is_a_validation_failure(self, capsys):
         assert main(["analyze", "no/such/game.json"]) == 1
@@ -313,6 +367,25 @@ class TestApproximate:
         rc = main(["approximate", write_game(tmp_path, OR_DOC), "--subset", "1"])
         assert rc == 0
         assert "interaction index" in capsys.readouterr().out
+
+    def test_csv_rows_are_pinned(self, tmp_path, capsys):
+        path = write_game(tmp_path, OR_DOC)
+        assert main(["approximate", path, "--subset", "1,2", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (
+            "subset,index,value\n"
+            "{},coeff,0\n"
+            "{1},coeff,1\n"
+            "{2},coeff,1\n"
+            '"{1,2}",coeff,-1\n'
+            '"{1,2}",I_B,-1\n'
+            '"{1,2}",residual,0\n'
+        )
+
+    @pytest.mark.parametrize("selector", ["1;2", "all", "pairs"])
+    def test_more_than_one_subset_is_a_validation_failure(self, tmp_path, capsys, selector):
+        doc = {"version": 1, "n": 3, "random": {"seed": 5}}
+        assert main(["approximate", write_game(tmp_path, doc), "--subset", selector]) == 1
+        assert "error: --subset must name one subset" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -396,3 +469,8 @@ class TestGenerate:
         assert main(["generate", "weighted-voting"]) == 1
         assert main(["generate", "unanimity", "--n", "2"]) == 1
         assert main(["generate", "random"]) == 1
+
+    @pytest.mark.parametrize("kind", [["random"], ["unanimity", "--players", "1"]])
+    def test_bad_player_count_fails_validation(self, kind, capsys):
+        assert main(["generate", *kind, "--n", "-3"]) == 1
+        assert "error: player count must be an integer" in capsys.readouterr().err

@@ -532,42 +532,42 @@ class TestIndexReport:
     def test_report_contents(self):
         report = index_report(OR, UNIFORM2, [0, 0b01, 0b10, 0b11], game_id="or")
         assert report.game_id == "or"
-        empty = report.records[0]
-        assert empty.influence == 0.0
-        assert empty.correlation is None
-        assert report.records[1].influence == pytest.approx(0.5, abs=1e-12)
-        assert report.records[3].shapley == pytest.approx(1.0, abs=1e-12)
-        assert report.records[1].correlation is not None
+        assert report.influence[0] == 0.0
+        assert np.isnan(report.correlation[0])
+        assert report.influence[1] == pytest.approx(0.5, abs=1e-12)
+        assert report.shapley[3] == pytest.approx(1.0, abs=1e-12)
+        assert not np.isnan(report.correlation[1])
 
     def test_constant_game_has_no_correlations(self):
         f = PseudoBooleanFunction(2, [3, 3, 3, 3])
         report = index_report(f, UNIFORM2, [0b01])
-        assert report.records[0].correlation is None
+        assert np.isnan(report.correlation).tolist() == [True]
         # the table route (more distinct subsets than n) agrees
         report = index_report(f, UNIFORM2, [0, 0b01, 0b10])
-        assert [r.correlation for r in report.records] == [None, None, None]
+        assert np.isnan(report.correlation).tolist() == [True, True, True]
 
-    def test_records_follow_the_request_order_with_repeats(self):
+    def test_columns_follow_the_request_order_with_repeats(self):
         f = random_game(np.random.default_rng(73), 2)
         subsets = [0b11, 0b01, 0b11, 0b10, 0]
         report = index_report(f, UNIFORM2, subsets)
-        assert [r.subset for r in report.records] == subsets
-        assert report.records[0] == report.records[2]
+        assert report.subsets.tolist() == subsets
+        for column in (report.interaction, report.influence, report.shapley, report.correlation):
+            assert column[0] == column[2]
 
     def test_correlation_of_a_nearly_constant_game_on_both_routes(self):
         # sigma_f = 5e-10; the Mobius route's Phi({1}) is 1.1e-16 here against
         # a true 7.0e-19, which puts r({1}) off by 1.1e-7
         f = PseudoBooleanFunction(3, [0.0] + [0.703125] * 7)
         p = ProbabilityProfile([0.5, 0.9999999989999999, 0.9999999989999999])
-        per_subset = index_report(f, p, [0b001, 0b010, 0b011]).records
-        tables = index_report(f, p, list(range(8))).records
-        for rec in per_subset:
-            ref = tables[rec.subset]
-            assert rec.influence == pytest.approx(ref.influence, rel=1e-9, abs=1e-30)
-            assert rec.correlation == pytest.approx(ref.correlation, rel=1e-9, abs=1e-15)
+        per_subset = index_report(f, p, [0b001, 0b010, 0b011])
+        tables = index_report(f, p, list(range(8)))
+        for k, S in enumerate(per_subset.subsets.tolist()):
+            assert per_subset.influence[k] == pytest.approx(tables.influence[S], rel=1e-9, abs=1e-30)
+            assert per_subset.correlation[k] == pytest.approx(
+                tables.correlation[S], rel=1e-9, abs=1e-15
+            )
 
-
-    def test_columns_back_the_records(self):
+    def test_columns_are_frozen_float64_copies(self):
         f = random_game(np.random.default_rng(74), 3)
         p = ProbabilityProfile([0.2, 0.5, 0.7])
         for subsets in ([0b101, 0, 0b011], list(range(8)) + [0b101, 0]):  # both routes
@@ -582,14 +582,20 @@ class TestIndexReport:
             request = np.array(subsets)
             index_report(f, p, request)
             assert request.flags.writeable  # the report froze its own copy
-            records = report.records
-            assert records is report.records  # built once
-            assert [r.interaction for r in records] == report.interaction.tolist()
-            assert [r.influence for r in records] == report.influence.tolist()
-            assert [r.shapley for r in records] == report.shapley.tolist()
-            assert [r.correlation for r in records] == [
-                None if S == 0 else r for S, r in zip(subsets, report.correlation.tolist())
-            ]
+
+    def test_overflowing_indexes_fail_validation_on_both_routes(self):
+        big = 1.7e308
+        f = PseudoBooleanFunction(3, [-big, big, big, -big, big, -big, -big, big])
+        uniform = ProbabilityProfile.uniform(3)
+        with np.errstate(all="ignore"):
+            # tables: I({1}) is NaN and Shapley({1}) infinite
+            with pytest.raises(ValidationError, match=r"indexes of subset 0b1 are not finite"):
+                index_report(f, uniform, list(range(8)))
+            # the first non-finite subset in request order is named
+            with pytest.raises(ValidationError, match=r"indexes of subset 0b100 are not finite"):
+                index_report(f, uniform, [0, 0b110, 0b100, 0b001])
+            with pytest.raises(ValidationError, match="non-finite"):
+                index_report(f, uniform, [1, 2])  # per subset
 
     def test_bad_masks_are_named_in_request_order(self):
         f = random_game(np.random.default_rng(75), 3)
