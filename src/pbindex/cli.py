@@ -22,7 +22,6 @@ import argparse
 import contextlib
 import itertools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -257,14 +256,17 @@ def parse_profile(spec: Optional[str], n: int) -> ProbabilityProfile:
     return ProbabilityProfile(parts)
 
 
-def parse_subsets(selector: str, n: int) -> List[Coalition]:
-    """Subset selector: 'all', 'singletons', 'pairs', or '1,2;3' (0 = empty set)."""
+def parse_subsets(selector: str, n: int) -> Union[List[Coalition], np.ndarray]:
+    """Subset selector: 'all', 'singletons', 'pairs', or '1,2;3' (0 = empty set).
+
+    'all' gives the int64 array of every mask; the others give lists.
+    """
     if selector == "all":
         if n > MAX_ENUMERATED_PLAYERS:
             raise ValidationError(
                 f"'all' enumerates 2**{n} subsets; capped at n <= {MAX_ENUMERATED_PLAYERS}"
             )
-        return list(range(1 << n))
+        return np.arange(1 << n, dtype=np.int64)
     if selector == "singletons":
         return [1 << i for i in range(n)]
     if selector == "pairs":
@@ -390,7 +392,7 @@ def _check_orthonormality(game, profile, rng) -> CheckResult:
 def _check_parseval(game, profile) -> CheckResult:
     total = measure.inner_product(profile, game, game)
     coeffs = approx_mod.fourier_table(game, profile)
-    dev = abs(math.fsum((coeffs * coeffs).tolist()) - total)
+    dev = abs(measure._fsum(coeffs * coeffs) - total)
     rel = dev / max(abs(total), 1.0)
     return CheckResult("parseval", rel <= 1e-9, rel)
 

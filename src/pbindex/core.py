@@ -125,7 +125,7 @@ def subset_products(x: Sequence[float]) -> np.ndarray:
 def _as_table(values, n: int, what: str) -> np.ndarray:
     try:
         arr = np.asarray(values, dtype=np.float64).copy()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} needs numeric entries: {exc}") from exc
     if arr.shape != (1 << n,):
         raise ValidationError(

@@ -480,13 +480,17 @@ class IndexReport:
             column.setflags(write=False)
 
 
-def _mask_array(subsets: Sequence[Coalition], n: int) -> np.ndarray:
+def _mask_array(subsets: Union[Sequence[Coalition], np.ndarray], n: int) -> np.ndarray:
     """The masks as a new int64 array, each checked as by :func:`check_mask`.
 
-    In-range ints and numpy integers (not bools) pass in one vectorized check;
-    any other input goes mask by mask, so the error names the first bad one.
+    An integer ndarray, or a sequence of in-range ints and numpy integers (not
+    bools), passes in one vectorized check; any other input goes mask by mask,
+    so the error names the first bad one.
     """
-    if all(t is int or issubclass(t, np.integer) for t in set(map(type, subsets))):
+    if isinstance(subsets, np.ndarray) and subsets.ndim == 1 and subsets.dtype.kind in "iu":
+        if subsets.size == 0 or (subsets.min() >= 0 and subsets.max() < 1 << n):
+            return subsets.astype(np.int64)  # a copy: the report freezes it
+    elif all(t is int or issubclass(t, np.integer) for t in set(map(type, subsets))):
         try:
             masks = np.array(subsets, dtype=np.int64)  # a copy: the report freezes it
         except OverflowError:
@@ -518,8 +522,8 @@ def index_report(
       profile with ceil(n/2)+2 nodes, the Shapley value for all 2**n subsets
       at once: O(n**2 2**n) numpy work, independent of the subset count.
       The columns are gathered from the tables, with no per-subset Python
-      objects.  A fresh ``analyze --subsets all`` process takes about 0.45 s
-      and 38 MB peak RSS at n=14, and 0.8 s and 44 MB at n=16 (CSV or
+      objects.  A fresh ``analyze --subsets all`` process takes about 0.15 s
+      and 43 MB peak RSS at n=14, and 0.3 s and 49 MB at n=16 (CSV or
       text, 2-vCPU Xeon guest).
     * otherwise: the per-subset functions (:func:`banzhaf_interaction`,
       :func:`banzhaf_influence` by the inner product with g_{S,p},
@@ -537,16 +541,25 @@ def index_report(
     sweep, n <= 9).
 
     Measured crossover (2-vCPU Xeon guest, numpy 2.4, uniform random game,
-    best of 3): the tables take 7.3 ms at n=11, 34 ms at n=14, 0.35 s at
-    n=17 and 3.35 s at n=20, as much as 11-20, 9-20, 17-26 and 13-28
+    best of 3 to 5): the tables take 2.5 ms at n=11, 13 ms at n=14, 0.14 s
+    at n=17 and 1.65 s at n=20, as much as 17-31, 23-80, 37-72 and 40-125
     per-subset calls.  A call costs most at |S| = 1 (the low ends) and less
-    at |S| near n/2 (the high ends).  The cut at n lies inside that
-    break-even range at every measured n, at its low end for n=11 and 17.
+    at |S| near n/2 (the high ends).  The cut at n lies below that
+    break-even range at every measured n, so up to the break-even count the
+    tables run where the calls would be cheaper.  The cut stays at n: moving
+    it would change which route, and so which last bits, such a report gets.
     """
     _check_same_n(profile, f)
     masks = _mask_array(subsets, f.n)
     mean = expectation(profile, f)
-    sigma_f = math.sqrt(_centered_variance(profile, f.values - mean))
+    # r does not depend on the scale of f: sigma_f and Phi are taken for
+    # f / 2**e, with 2**e just above max|f - E[f]| (e >= 0), so that the
+    # squares in sigma_f cannot overflow.  Scaling by a power of two is exact,
+    # so r keeps its bits wherever no product leaves the normal range.
+    centered = f.values - mean
+    e = math.frexp(float(np.max(np.abs(centered))))[1]
+    scale = math.ldexp(1.0, -max(e, 0))
+    sigma_f = math.sqrt(_centered_variance(profile, centered * scale))
     if np.unique(masks).size > f.n:
         p = profile.p.tolist()
         interaction = _interaction_values(f.values, p)
@@ -561,7 +574,7 @@ def index_report(
             + subset_products([1.0 / (1.0 - pi) for pi in p])
         )[masks]
     else:
-        centered = PseudoBooleanFunction(f.n, f.values - mean)
+        centered = PseudoBooleanFunction(f.n, centered)
         picks = masks.tolist()
         interaction = np.array([banzhaf_interaction(f, S, profile) for S in picks])
         influence = np.array(
@@ -577,10 +590,10 @@ def index_report(
             f"Phi = {float(influence[k])!r}, Shapley = {float(shapley[k])!r} (the worths overflow)"
         )
     correlation = np.full(masks.size, np.nan)
-    if sigma_f > DEGENERACY_EPS:
+    if sigma_f > DEGENERACY_EPS * scale:
         # cov(f, g_{S,p}) = <f, g_{S,p}> = Phi(S) because E[g_{S,p}] = 0
         nonempty = masks != 0
         correlation[nonempty] = _correlations(
-            influence[nonempty], sigma_f, sigma_g[nonempty]
+            influence[nonempty] * scale, sigma_f, sigma_g[nonempty]
         )
     return IndexReport(game_id, profile, masks, interaction, influence, shapley, correlation)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,12 @@ class TestParseGame:
         assert main(["analyze", path]) == 1
         assert capsys.readouterr().err.startswith("error: game table needs numeric entries")
 
+    def test_worths_beyond_the_float_range_fail_validation(self, tmp_path, capsys):
+        path = write_game(tmp_path, {"version": 1, "n": 1, "values": [0, 10**400]})
+        assert main(["analyze", path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: game table needs numeric entries")
+
     def test_serialize_roundtrip(self, tmp_path):
         game = parse_game(io.StringIO(json.dumps(OR_DOC)))
         path = tmp_path / "copy.json"
@@ -118,7 +125,8 @@ class TestSelectors:
             parse_profile("zero", 3)
 
     def test_subset_selectors(self):
-        assert parse_subsets("all", 2) == [0, 1, 2, 3]
+        every = parse_subsets("all", 2)
+        assert every.dtype == np.int64 and every.tolist() == [0, 1, 2, 3]
         assert parse_subsets("singletons", 3) == [1, 2, 4]
         assert parse_subsets("pairs", 3) == [0b011, 0b101, 0b110]
         assert parse_subsets("1,2;3;0", 3) == [0b011, 0b100, 0]
@@ -145,6 +153,18 @@ class TestAnalyze:
         assert table[("{1,2}", "I_B")] == -1.0
         assert table[("{1}", "Phi_Sh")] == 0.5
         assert ("{}", "r") not in table
+
+    def test_correlations_of_huge_worths_are_those_of_the_game(self, tmp_path, capsys):
+        # the OR game times 1e200: sigma_f squares the worths past the float range
+        path = write_game(tmp_path, {"version": 1, "n": 2, "values": [0, 1e200, 1e200, 1e200]})
+        r_rows = ['{1},r,0.57735026919', '{2},r,0.57735026919', '"{1,2}",r,0.816496580928']
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # three subsets take the tables route, one the per-subset route
+            for selector, want in (("1;2;1,2", r_rows), ("1,2", r_rows[2:])):
+                assert main(["analyze", path, "--subsets", selector]) == 0
+                lines = capsys.readouterr().out.splitlines()
+                assert [line for line in lines if ",r," in line] == want
 
     def test_scalar_profile_replication(self, tmp_path, capsys):
         rc = main(["analyze", write_game(tmp_path, OR_DOC), "--p", "0.25", "--subsets", "1"])

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -596,6 +597,34 @@ class TestIndexReport:
                 index_report(f, uniform, [0, 0b110, 0b100, 0b001])
             with pytest.raises(ValidationError, match="non-finite"):
                 index_report(f, uniform, [1, 2])  # per subset
+
+    def test_correlations_do_not_depend_on_a_power_of_two_scale(self):
+        rng = np.random.default_rng(77)
+        f = random_game(rng, 3)
+        p = ProbabilityProfile([0.2, 0.5, 0.7])
+        for subsets in ([0b101, 0b011], list(range(8))):  # both routes
+            plain = index_report(f, p, subsets).correlation
+            for e in (40, 600, 1000):
+                scaled = PseudoBooleanFunction(3, np.ldexp(f.values, e))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # no overflow in sigma_f
+                    r = index_report(scaled, p, subsets).correlation
+                assert np.array_equal(r, plain, equal_nan=True)
+
+    def test_integer_arrays_are_checked_without_iteration(self):
+        class Opaque(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("iterated over the masks")
+
+        for dtype in (np.int64, np.int32, np.uint16):
+            masks = np.array([5, 0, 7, 5], dtype=dtype).view(Opaque)
+            out = indices._mask_array(masks, 3)
+            assert out.dtype == np.int64 and out.tolist() == [5, 0, 7, 5]
+            assert not np.shares_memory(out, masks)
+        assert indices._mask_array(np.zeros(0, dtype=np.int64), 3).size == 0
+        for masks, bad in (([1, 8, 9], 8), ([2, -1], -1)):
+            with pytest.raises(ValidationError, match=re.escape(f"mask np.int64({bad}) is not")):
+                indices._mask_array(np.array(masks, dtype=np.int64), 3)
 
     def test_bad_masks_are_named_in_request_order(self):
         f = random_game(np.random.default_rng(75), 3)

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbindex import (
     DimensionError,
@@ -21,7 +24,7 @@ from pbindex import (
 )
 from pbindex.core import eval_multilinear_extension
 from pbindex import measure
-from pbindex.measure import FSUM_CHUNK, _fsum, multilinear_expectation
+from pbindex.measure import FSUM_CHUNK, FSUM_SMALL, _fsum, multilinear_expectation
 from helpers import brute_weight, random_game, random_profile
 
 OR = PseudoBooleanFunction(2, [0, 1, 1, 1])
@@ -190,12 +193,62 @@ class TestParseval:
             assert math.fsum(c * c for c in coeffs) == pytest.approx(total, rel=1e-9)
 
 
+def _float_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def assert_same_sum(terms: np.ndarray) -> None:
+    """_fsum(terms) has the bits of math.fsum(terms.tolist()) (sign of zero and
+    nan included), or both raise the same exception type."""
+    try:
+        want = math.fsum(terms.tolist())
+    except (OverflowError, ValueError) as exc:  # intermediate overflow, inf - inf
+        with pytest.raises(type(exc)):
+            _fsum(terms)
+        return
+    assert _float_bits(_fsum(terms)) == _float_bits(want)
+
+
+# sizes around the extraction threshold and the block boundaries
+SIZES = [
+    FSUM_SMALL - 1, FSUM_SMALL, FSUM_SMALL + 1,
+    FSUM_CHUNK - 1, FSUM_CHUNK, FSUM_CHUNK + 1,
+    FSUM_CHUNK + FSUM_SMALL + 1,
+    2 * FSUM_CHUNK - 1, 2 * FSUM_CHUNK, 2 * FSUM_CHUNK + 1, 6 * FSUM_CHUNK + 7,
+]
+SPECIALS = [math.inf, -math.inf, math.nan, 1e308, -1e308, 1.7976931348623157e308, 5e-324, -0.0]
+
+
 class TestChunkedFsum:
-    @pytest.mark.parametrize("size", [FSUM_CHUNK - 1, FSUM_CHUNK, FSUM_CHUNK + 1, 3 * FSUM_CHUNK + 7])
+    @pytest.mark.parametrize("size", SIZES)
     def test_bitwise_equal_to_one_list(self, size):
         rng = np.random.default_rng(size)
-        terms = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
-        assert _fsum(terms) == math.fsum(terms.tolist())
+        assert_same_sum(rng.random(size))
+        assert_same_sum(rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_exponents_over_the_whole_range(self, size):
+        rng = np.random.default_rng(size + 1)
+        for lo, hi in ((-1074, 1025), (-1074, -1000), (-1030, -1010), (1000, 1025)):
+            # mantissas in (-1, 1) times 2**e, subnormals up to the top binade;
+            # the sums overflow in math.fsum, or not, alike
+            assert_same_sum(np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(lo, hi, size)))
+        assert_same_sum(np.full(size, 5e-324))
+        assert_same_sum(np.resize([1e308, -1e308, 1e308], size))
+        assert_same_sum(np.resize([1e308, 1e308, -1e308], size))
+
+    @pytest.mark.parametrize("special", SPECIALS)
+    def test_special_values(self, special):
+        rng = np.random.default_rng(7)
+        for size in (FSUM_SMALL + 1, 2 * FSUM_CHUNK + 3):
+            terms = rng.standard_normal(size)
+            for at in (0, size // 2, size - 1):
+                spiked = terms.copy()
+                spiked[at] = special
+                assert_same_sum(spiked)
+        assert_same_sum(np.resize([math.inf, -math.inf], FSUM_CHUNK + 2))  # inf - inf
+        assert_same_sum(np.full(FSUM_SMALL + 1, -0.0))
+        assert_same_sum(np.zeros(2 * FSUM_CHUNK))
 
     def test_cancellation_across_a_chunk_boundary(self):
         terms = np.zeros(FSUM_CHUNK + 2)
@@ -203,8 +256,44 @@ class TestChunkedFsum:
         terms[FSUM_CHUNK] = 1.0
         terms[FSUM_CHUNK + 1] = -1e100
         assert _fsum(terms) == math.fsum(terms.tolist()) == 1.0
+        rng = np.random.default_rng(9)
+        half = rng.standard_normal(FSUM_CHUNK + FSUM_SMALL) * 10.0 ** rng.integers(-30, 30)
+        terms = np.concatenate([half, -half[::-1]])
+        assert _float_bits(_fsum(terms)) == _float_bits(0.0)
+        terms[FSUM_CHUNK] += 2.0**-60  # a last bit that only an exact sum keeps
+        assert_same_sum(terms)
 
     def test_empty_and_strided_input(self):
         assert _fsum(np.zeros(0)) == 0.0
         terms = np.random.default_rng(1).standard_normal(2 * FSUM_CHUNK + 3)[::2]
         assert _fsum(terms) == math.fsum(terms.tolist())
+        rng = np.random.default_rng(8)
+        terms = np.ldexp(rng.uniform(-1.0, 1.0, 3 * FSUM_CHUNK), rng.integers(-1074, 1000, 3 * FSUM_CHUNK))
+        for view in (terms[1::3], terms[::-1], terms[::-7]):
+            assert_same_sum(view)
+
+    def test_extraction_leaves_few_terms_for_math_fsum(self):
+        block = np.random.default_rng(10).random(FSUM_CHUNK)
+        parts = measure._extract(block)
+        assert len(parts) <= FSUM_SMALL + 8
+        assert math.fsum(parts) == math.fsum(block.tolist())
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.sampled_from(SIZES) | st.integers(0, 3 * FSUM_CHUNK),
+        exponents=st.tuples(st.integers(-1074, 1024), st.integers(-1074, 1024)),
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.lists(st.tuples(st.floats(0, 1), st.sampled_from(SPECIALS)), max_size=3),
+        mirrored=st.booleans(),
+        step=st.sampled_from([1, 1, 2, 3, -1]),
+    )
+    def test_property_same_bits_as_math_fsum(self, size, exponents, seed, specials, mirrored, step):
+        rng = np.random.default_rng(seed)
+        lo, hi = sorted(exponents)
+        terms = np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(lo, hi + 1, size))
+        if mirrored:  # cancels exactly, across a block boundary when large
+            terms = np.concatenate([terms, -terms[::-1]])
+        for where, value in specials:
+            if terms.size:
+                terms[min(int(where * terms.size), terms.size - 1)] = value
+        assert_same_sum(terms[::step])
