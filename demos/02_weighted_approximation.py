@@ -37,9 +37,11 @@ print()
 print("== projecting onto the variables of S ==")
 S = mask_from_players([1, 2, 5], n)
 approx = best_s_approximation(f, S, p)
-print("multilinear coefficients of the approximant (only subsets of S appear):")
-for T, c in sorted(approx.fourier.items()):
-    print(f"  u_{T:06b}: {approx.multilinear.coeffs[T]: .6f}")
+print("coefficients of the approximant (only subsets of S appear):")
+print("  basis <f, v_T> in approx.fourier, aligned with the masks in approx.keys;")
+print("  unanimity u_T in approx.multilinear.coeffs, indexed by mask")
+for T, c in zip(approx.keys.tolist(), approx.fourier.tolist()):
+    print(f"  T={T:06b}: <f, v_T> {c: .6f}   u_T {approx.multilinear.coeffs[T]: .6f}")
 print(f"leading coefficient      {approx.multilinear.coeffs[S]: .6f}")
 print(f"interaction index I_B,p  {banzhaf_interaction(f, S, p): .6f}   (same number)")
 

@@ -62,7 +62,11 @@ for i in range(n):
 
 print()
 print("== the interaction table is a lossless encoding ==")
-rebuilt = taylor_reconstruct(interaction_table(game, skewed), skewed)
+table = interaction_table(game, skewed)  # one array, entry S = I_B,p(S)
+for S in range(1 << n):
+    label = "{" + ",".join(map(str, players_from_mask(S))) + "}"
+    print(f"  I_B,p({label}) = {table[S]: .4f}")
+rebuilt = taylor_reconstruct(table, skewed)
 print("max reconstruction error:", np.max(np.abs(rebuilt.values - game.values)))
 
 print()

@@ -9,15 +9,17 @@ the v_{T,p} are orthonormal for <.,.>_w, the minimizer is simply
 and the best degree-k approximation replaces the index set by {|T| <= k}.
 The basis is a tensor product, so every coefficient <f, v_{T,p}> comes out
 of one pass of a per-axis 2x2 map over the game table, and a second per-axis
-map expands the series in the unanimity basis: O(n 2**n) either way.  The
+map expands the series in the unanimity basis: O(n 2**n) either way.  A
+result holds its index set and its coefficients as two aligned arrays.  The
 independent normal-equations route lives in :mod:`pbindex.oracle`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,17 +40,23 @@ from .measure import ProbabilityProfile, _check_same_n, _fsum
 class Approximation:
     """A projection of a game onto V_S or onto degree <= k.
 
-    ``fourier`` maps each included subset T to <f, v_{T,p}>; ``multilinear``
+    ``fourier[j]`` is <f, v_{T,p}> for the included subset T = ``keys[j]``;
+    ``keys`` (int64) ascends, and both arrays are read-only.  ``multilinear``
     is the same approximant expanded in the unanimity basis.  Exactly one of
     ``subset`` and ``degree`` is set.
     """
 
     n: int
     profile: ProbabilityProfile
-    fourier: Dict[Coalition, float]
+    keys: np.ndarray
+    fourier: np.ndarray
     multilinear: MobiusRepresentation
     subset: Optional[Coalition] = None
     degree: Optional[int] = None
+
+    def __post_init__(self):
+        for column in (self.keys, self.fourier):
+            column.setflags(write=False)
 
     def table(self) -> PseudoBooleanFunction:
         """The approximant evaluated on all vertices."""
@@ -56,24 +64,23 @@ class Approximation:
 
 
 def _expand_fourier(
-    fourier: Dict[Coalition, float], profile: ProbabilityProfile
+    keys: np.ndarray, fourier: np.ndarray, profile: ProbabilityProfile
 ) -> MobiusRepresentation:
     """Distribute sum_T c_T prod_{i in T}(x_i - p_i)/s_i over the unanimity basis.
 
-    Per axis (x_i - p_i)/s_i = x_i/s_i - p_i/s_i, so the inverse map sends
-    (c0, c1) to (c0 - p_i c1/s_i, c1/s_i).  It runs on the lattice of the union
-    U of the keys only: on every other axis it would be the identity on a
-    table that is zero there.  Coefficients outside the submasks of U stay
-    exactly 0.
+    c_T is ``fourier[j]`` for T = ``keys[j]``.  Per axis (x_i - p_i)/s_i =
+    x_i/s_i - p_i/s_i, so the inverse map sends (c0, c1) to (c0 - p_i c1/s_i,
+    c1/s_i).  It runs on the lattice of the union U of the keys only: on every
+    other axis it would be the identity on a table that is zero there.
+    Coefficients outside the submasks of U stay exactly 0.
     """
-    keys = np.fromiter(fourier, dtype=np.int64, count=len(fourier))
-    union = int(np.bitwise_or.reduce(keys)) if keys.size else 0
+    union = int(np.bitwise_or.reduce(keys))
     axes = [i for i in range(profile.n) if union >> i & 1]
     for i in reversed(range(profile.n)):  # squeeze out the bits outside U
         if not union >> i & 1:
             keys = (keys & ((1 << i) - 1)) | ((keys >> 1) & -(1 << i))
     packed = np.zeros(1 << len(axes))
-    packed[keys] = list(fourier.values())
+    packed[keys] = fourier
     maps = []
     for pi in profile.p[axes].tolist():
         s = math.sqrt(pi * (1.0 - pi))
@@ -104,12 +111,10 @@ def fourier_table(f: PseudoBooleanFunction, profile: ProbabilityProfile) -> np.n
 def _project(
     f: PseudoBooleanFunction, profile: ProbabilityProfile, keys: np.ndarray, **which: int
 ) -> Approximation:
-    """The projection of f onto span{v_{T,p} : T in ``keys``}.
-
-    ``which`` sets ``subset`` or ``degree``.
-    """
-    fourier = dict(zip(keys.tolist(), fourier_table(f, profile)[keys].tolist()))
-    return Approximation(f.n, profile, fourier, _expand_fourier(fourier, profile), **which)
+    """Project f onto span{v_{T,p} : T in ``keys``}; ``which`` sets subset or degree."""
+    fourier = fourier_table(f, profile)[keys]
+    multilinear = _expand_fourier(keys, fourier, profile)
+    return Approximation(f.n, profile, keys, fourier, multilinear, **which)
 
 
 def best_s_approximation(
@@ -135,9 +140,19 @@ def best_k_approximation(
 def residual_norm(
     f: PseudoBooleanFunction, approx: Approximation, profile: ProbabilityProfile
 ) -> float:
-    """Squared weighted distance sum_T w(T) (f(T) - g(T))^2 to the approximant."""
+    """Squared weighted distance sum_T w(T) (f(T) - g(T))^2 to the approximant.
+
+    Summed for (f - g) / 2**e, 2**e just above max|f - g| (e >= 0), so no square
+    overflows; a residual past the float range raises :class:`ValidationError`.
+    """
     _check_same_n(profile, f)
     if approx.n != f.n:
         raise DimensionError(f"approximation has n={approx.n} but game has n={f.n}")
     diff = f.values - approx.table().values
-    return _fsum(profile.weights() * diff * diff)
+    e = max(math.frexp(float(np.max(np.abs(diff))))[1], 0)
+    diff *= math.ldexp(1.0, -e)
+    with contextlib.suppress(OverflowError):  # from ldexp past the float range
+        residual = math.ldexp(_fsum(profile.weights() * diff * diff), 2 * e)
+        if math.isfinite(residual):
+            return residual
+    raise ValidationError("the residual is beyond the float range (the worths overflow)")

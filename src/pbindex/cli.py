@@ -95,8 +95,9 @@ def _expand_random(spec: dict, n: Optional[int]) -> PseudoBooleanFunction:
 def parse_game(source: Union[str, Path, TextIO]) -> PseudoBooleanFunction:
     """Load a game file (path or open stream) into a dense table.
 
-    Raises :class:`ParseError` on malformed input and :class:`ValidationError`
-    on structurally invalid tables (wrong length, n > 24, non-finite values).
+    Raises :class:`ParseError` on malformed input, including worths that are
+    not JSON numbers (strings, booleans), and :class:`ValidationError` on
+    structurally invalid tables (wrong length, n > 24, non-finite values).
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
@@ -120,6 +121,9 @@ def parse_game(source: Union[str, Path, TextIO]) -> PseudoBooleanFunction:
         values = doc["values"]
         if not isinstance(values, list):
             raise ParseError("field 'values' must be a list")
+        if not set(map(type, values)) <= {int, float}:  # JSON numbers; bool is not one
+            k, bad = next((k, v) for k, v in enumerate(values) if type(v) not in (int, float))
+            raise ParseError(f"game table needs numeric entries: entry {k} is {bad!r}")
         return PseudoBooleanFunction(n, values)
     if "weighted_voting" in doc:
         return _expand_weighted_voting(doc["weighted_voting"])

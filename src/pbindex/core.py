@@ -65,14 +65,7 @@ def mask_from_players(players: Iterable[int], n: int) -> Coalition:
 
 def players_from_mask(mask: Coalition) -> list[int]:
     """Sorted 1-based player labels of a coalition mask."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i + 1 for i in range(int(mask).bit_length()) if mask >> i & 1]
 
 
 def subsets_of(mask: Coalition) -> Iterator[Coalition]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .core import (
     product_table,
     submasks,
     subset_products,
-    subsets_of,
 )
 from .errors import (
     DegenerateFunction,
@@ -195,13 +194,11 @@ def influence_interaction_expansion(
     """
     _check_same_n(profile, f)
     check_mask(S, f.n)
-    terms = []
-    for T in subsets_of(S):
-        bits = [i for i in range(f.n) if T >> i & 1]
-        w = math.prod(1.0 - profile.p[i] for i in bits)
-        w -= (-1.0) ** len(bits) * math.prod(profile.p[i] for i in bits)
-        terms.append(banzhaf_interaction(f, T, profile) * w)
-    return math.fsum(terms)
+    # weights of the submasks T of S, ascending; negated p_i flip the sign exactly
+    p = [pi for i, pi in enumerate(profile.p.tolist()) if S >> i & 1]
+    weights = product_table([(1.0, 1.0 - pi) for pi in p]) - product_table([(1.0, -pi) for pi in p])
+    interactions = np.array([banzhaf_interaction(f, T, profile) for T in submasks(S).tolist()])
+    return math.fsum((interactions * weights).tolist())
 
 
 def shapley_generalized_value(f: PseudoBooleanFunction, S: Coalition) -> float:
@@ -238,35 +235,38 @@ def ben_or_linial_influence(f: PseudoBooleanFunction, S: Coalition) -> float:
 # generalized-value coefficient tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralizedValueCoefficients:
     """Coefficients of a generalized value G(f,S), in one of two forms.
 
-    ``kind="p"``: table over T subseteq N-S, with
+    ``table`` is a read-only float64 array over all 2**n masks, 0.0 off the
+    support of its form.  ``kind="p"``: T subseteq N-S, with
         G(f,S) = sum_T p_T^S (f(T u S) - f(T)).
-    ``kind="q"``: table over R meeting S, with
-        G(f,S) = sum_R q_R^S a(R).
+    ``kind="q"``: R meeting S, with G(f,S) = sum_R q_R^S a(R).
     A q-form comes from a p-form iff its values depend only on R - S.
     """
 
     n: int
     subset: Coalition
     kind: str
-    table: Dict[Coalition, float]
+    table: np.ndarray
 
     def __post_init__(self):
         check_mask(self.subset, self.n)
         if self.kind not in ("p", "q"):
             raise ValidationError(f"kind must be 'p' or 'q', got {self.kind!r}")
-        comp = full_mask(self.n) & ~self.subset
-        if self.kind == "p":
-            expected = set(subsets_of(comp))
-        else:
-            expected = {m for m in range(1 << self.n) if m & self.subset}
-        if set(self.table) != expected:
+        t = self.table
+        if not (isinstance(t, np.ndarray) and t.dtype == np.float64 and t.shape == (1 << self.n,)):
+            raise ValidationError(f"{self.kind}-form table needs a float64 array of 2**{self.n}")
+        meets = (np.arange(1 << self.n) & self.subset) != 0
+        bad = ~np.isfinite(t) | ((meets if self.kind == "p" else ~meets) & (t != 0.0))
+        if bad.any():
+            k = int(np.argmax(bad))
             raise ValidationError(
-                f"{self.kind}-form table for S={self.subset:#b} has wrong key set"
+                f"{self.kind}-form table for S={self.subset:#b} holds {float(t[k])!r} at {k:#b}: "
+                "entries must be finite, and 0.0 off the support"
             )
+        t.setflags(write=False)
 
 
 def influence_value_coefficients(
@@ -280,23 +280,28 @@ def influence_value_coefficients(
     Nonnegative and summing to 1 over T subseteq N-S.
     """
     check_mask(S, profile.n)
-    subs = _comp_masks(S, profile.n)
-    table = dict(zip(subs.tolist(), _comp_weights(S, profile).tolist()))
+    table = np.zeros(1 << profile.n)
+    table[_comp_masks(S, profile.n)] = _comp_weights(S, profile)
     return GeneralizedValueCoefficients(profile.n, S, "p", table)
+
+
+def _conversion_input(coeffs: GeneralizedValueCoefficients, kind: str, name: str):
+    # n, S and the submasks D of N-S, ascending, after checking the form and S
+    if coeffs.kind != kind:
+        raise ValidationError(f"{name} expects a {kind}-form table")
+    if coeffs.subset == 0:
+        raise EmptySubset("generalized-value conversion needs a nonempty S")
+    return coeffs.n, coeffs.subset, _comp_masks(coeffs.subset, coeffs.n)
 
 
 def gv_p_to_q(coeffs: GeneralizedValueCoefficients) -> GeneralizedValueCoefficients:
     """Convert p-form to q-form: q_R^S = sum_{T : R-S subseteq T subseteq N-S} p_T^S."""
-    if coeffs.kind != "p":
-        raise ValidationError("gv_p_to_q expects a p-form table")
-    if coeffs.subset == 0:
-        raise EmptySubset("generalized-value conversion needs a nonempty S")
-    n, S = coeffs.n, coeffs.subset
-    subs = _comp_masks(S, n)
-    packed = np.array([coeffs.table[int(T)] for T in subs])
+    n, S, comp = _conversion_input(coeffs, "p", "gv_p_to_q")
+    packed = coeffs.table[comp]
     # superset sums over the complement lattice
     axis_map_inplace(packed, [(1.0, 1.0, 0.0, 1.0)] * (n - S.bit_count()))
-    table = {D | E: q for D, q in zip(subs.tolist(), packed.tolist()) for E in subsets_of(S) if E}
+    table = np.zeros(1 << n)
+    table[comp[:, None] | submasks(S)[None, 1:]] = packed[:, None]  # row D: every R with R-S = D
     return GeneralizedValueCoefficients(n, S, "q", table)
 
 
@@ -305,26 +310,22 @@ def gv_q_to_p(
 ) -> GeneralizedValueCoefficients:
     """Convert q-form back: p_T^S = sum_{R : T subseteq R subseteq N-S} (-1)^(|R|-|T|) q_{R u S}^S.
 
-    The q-form must depend only on R - S; a spread above ``tol`` within any
-    class raises :class:`InvalidCoefficients`.
+    The q-form must depend only on R - S; a spread above ``tol`` within a
+    class raises :class:`InvalidCoefficients` for the first such class.
     """
-    if coeffs.kind != "q":
-        raise ValidationError("gv_q_to_p expects a q-form table")
-    if coeffs.subset == 0:
-        raise EmptySubset("generalized-value conversion needs a nonempty S")
-    n, S = coeffs.n, coeffs.subset
-    subs = _comp_masks(S, n)
-    rep = np.empty(len(subs))
-    for k, D in enumerate(subs.tolist()):
-        vals = [coeffs.table[D | E] for E in subsets_of(S) if E]
-        if max(vals) - min(vals) > tol:
-            raise InvalidCoefficients(
-                f"q values for R-S={D:#b} spread by {max(vals) - min(vals):.3e} > {tol}"
-            )
-        rep[k] = coeffs.table[D | S]
+    n, S, comp = _conversion_input(coeffs, "q", "gv_q_to_p")
+    grid = coeffs.table[comp[:, None] | submasks(S)[None, 1:]]  # row D: every R with R-S = D
+    spread = grid.max(axis=1) - grid.min(axis=1)
+    k = int(np.argmax(spread > tol))
+    if spread[k] > tol:
+        raise InvalidCoefficients(
+            f"q values for R-S={int(comp[k]):#b} spread by {spread[k]:.3e} > {tol}"
+        )
+    rep = grid[:, -1].copy()  # q at R = D u S
     # superset Mobius inversion over the complement lattice
     axis_map_inplace(rep, [(1.0, -1.0, 0.0, 1.0)] * (n - S.bit_count()))
-    table = dict(zip((int(T) for T in subs), rep.tolist()))
+    table = np.zeros(1 << n)
+    table[comp] = rep
     return GeneralizedValueCoefficients(n, S, "p", table)
 
 
@@ -375,33 +376,26 @@ def normalized_influence(
 
 
 def taylor_reconstruct(
-    interactions: Union[Mapping[Coalition, float], Sequence[float]],
-    profile: ProbabilityProfile,
+    interactions: Union[np.ndarray, Sequence[float]], profile: ProbabilityProfile
 ) -> PseudoBooleanFunction:
     """Rebuild a game from its complete interaction table at profile p.
 
     f(x) = sum_S I_{B,p}(f,S) prod_{i in S} (x_i - p_i), evaluated on all 0/1
-    vertices.  The table must cover every one of the 2**n subsets.
+    vertices.  ``interactions`` is an array-like of 2**n numbers, entry S
+    being I_{B,p}(f,S), as :func:`interaction_table` returns it; anything
+    else raises :class:`IncompleteTable`.
     """
-    n = profile.n
-    size = 1 << n
-    if isinstance(interactions, Mapping):
-        missing = [m for m in range(size) if m not in interactions]
-        if missing:
-            raise IncompleteTable(
-                f"interaction table missing {len(missing)} subsets, first {missing[0]:#b}"
-            )
-        work = np.array([float(interactions[m]) for m in range(size)])
-    else:
-        work = np.asarray(interactions, dtype=np.float64).copy()
-        if work.shape != (size,):
-            raise IncompleteTable(
-                f"interaction table needs {size} entries, got shape {work.shape}"
-            )
+    size = 1 << profile.n
+    try:
+        work = np.array(interactions, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise IncompleteTable(f"interaction table needs {size} numbers: {exc}") from exc
+    if work.shape != (size,):
+        raise IncompleteTable(f"interaction table needs {size} entries, got shape {work.shape}")
     # evaluate the shifted-product polynomial on vertices: x_i - p_i is -p_i
     # without player i and 1 - p_i with it
     axis_map_inplace(work, [(1.0, -pi, 1.0, 1.0 - pi) for pi in profile.p.tolist()])
-    return PseudoBooleanFunction(n, work)
+    return PseudoBooleanFunction(profile.n, work)
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +435,17 @@ def _shapley_values(values: np.ndarray, n: int) -> np.ndarray:
     return total
 
 
-def interaction_table(
-    f: PseudoBooleanFunction, profile: ProbabilityProfile
-) -> Dict[Coalition, float]:
-    """All 2**n interaction indexes of f at profile p, keyed by subset mask.
+def interaction_table(f: PseudoBooleanFunction, profile: ProbabilityProfile) -> np.ndarray:
+    """All 2**n interaction indexes of f at profile p: entry S is I_{B,p}(f,S).
 
-    One pass of the per-axis map (1-p_i, p_i; -1, 1) over the game table:
-    O(n 2**n) in total, against O(2**n) per subset for
-    :func:`banzhaf_interaction`.
+    A read-only float64 array.  One pass of the per-axis map
+    (1-p_i, p_i; -1, 1) over the game table: O(n 2**n) in total, against
+    O(2**n) per subset for :func:`banzhaf_interaction`.
     """
     _check_same_n(profile, f)
-    return dict(enumerate(_interaction_values(f.values, profile.p.tolist()).tolist()))
+    table = _interaction_values(f.values, profile.p.tolist())
+    table.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -155,10 +155,7 @@ def _fsum(terms: np.ndarray) -> float:
 def coalition_weight(profile: ProbabilityProfile, T: Coalition) -> float:
     """w(T) = prod_{i in T} p_i * prod_{i not in T} (1 - p_i)."""
     check_mask(T, profile.n)
-    w = 1.0
-    for i, pi in enumerate(profile.p):
-        w *= pi if T >> i & 1 else 1.0 - pi
-    return w
+    return math.prod(pi if T >> i & 1 else 1.0 - pi for i, pi in enumerate(profile.p))
 
 
 def inner_product(

@@ -35,8 +35,8 @@ from .core import (
     mobius,
     s_difference,
     sigma_s,
+    submasks,
     subset_products,
-    subsets_of,
     zeta,
 )
 from .errors import SingularSystem, ValidationError
@@ -76,7 +76,7 @@ def lsq_normal_equations(
     check_mask(S, f.n)
     if S.bit_count() > 16:
         raise ValidationError(f"normal-equations system for |S|={S.bit_count()} is too large")
-    basis = np.fromiter(subsets_of(S), dtype=np.int64, count=1 << S.bit_count())
+    basis = submasks(S)
 
     prods = subset_products(profile.p)
     gram = prods[basis[:, None] | basis[None, :]]
@@ -96,12 +96,10 @@ def lsq_normal_equations(
     coeffs[basis] = solution
     multilinear = MobiusRepresentation(f.n, coeffs)
     table = zeta(multilinear)
-    fourier = {
-        int(T): inner_product(profile, table, basis_function(profile, int(T))) for T in basis
-    }
-    return Approximation(
-        n=f.n, profile=profile, fourier=fourier, multilinear=multilinear, subset=S
+    fourier = np.array(
+        [inner_product(profile, table, basis_function(profile, T)) for T in basis.tolist()]
     )
+    return Approximation(f.n, profile, basis, fourier, multilinear, subset=S)
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +108,8 @@ def lsq_normal_equations(
 
 def sample_coalition(profile: ProbabilityProfile, rng: np.random.Generator) -> Coalition:
     """Draw one random coalition: player i joins independently with prob p_i."""
-    u = rng.random(profile.n)
-    mask = 0
-    for i in range(profile.n):
-        if u[i] < profile.p[i]:
-            mask |= 1 << i
-    return mask
+    joined = rng.random(profile.n) < profile.p
+    return sum(1 << i for i in np.flatnonzero(joined).tolist())
 
 
 # rows of uniforms or beta variates drawn at a time.  Chunked draws consume

@@ -26,6 +26,13 @@ def monotone_game(rng, n):
     return PseudoBooleanFunction(n, vals)
 
 
+def dense_table(n, entries):
+    """The float64 table over all 2**n masks holding ``entries`` (mask -> value), 0.0 elsewhere."""
+    out = np.zeros(1 << n)
+    out[list(entries)] = list(entries.values())
+    return out
+
+
 def bits_of(mask, n):
     return [i for i in range(n) if mask >> i & 1]
 

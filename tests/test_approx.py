@@ -12,11 +12,13 @@ from pbindex import (
     best_s_approximation,
     expectation,
     inner_product,
+    lsq_normal_equations,
     residual_norm,
     unanimity_game,
     zeta,
 )
 from pbindex.approx import _expand_fourier
+from pbindex.measure import _fsum
 from pbindex.core import submasks
 from helpers import random_game, random_profile
 
@@ -56,7 +58,7 @@ class TestBestSApproximation:
 
     def test_fourier_keys_are_exactly_the_subsets(self):
         approx = best_s_approximation(OR, 0b11, UNIFORM2)
-        assert sorted(approx.fourier) == [0, 1, 2, 3]
+        assert approx.keys.tolist() == [0, 1, 2, 3]
 
     def test_multilinear_vanishes_outside_subspace(self):
         rng = np.random.default_rng(22)
@@ -86,18 +88,17 @@ class TestBestKApproximation:
     def test_or_game_degree_one_leading_coefficient(self):
         approx = best_k_approximation(OR, 1, UNIFORM2)
         assert approx.multilinear.coeffs[0b01] == pytest.approx(0.5, abs=1e-12)
-        assert approx.fourier.keys() == {0, 1, 2}
+        assert approx.keys.tolist() == [0, 1, 2]
 
 
 class TestToMultilinear:
     def test_uniform_singleton_expansion(self):
-        fourier = {0b01: 0.25}
-        out = _expand_fourier(fourier, UNIFORM2)
+        out = _expand_fourier(np.array([0b01]), np.array([0.25]), UNIFORM2)
         # (1/4) v_{1} = (1/2) x1 - 1/4
         assert out.coeffs.tolist() == pytest.approx([-0.25, 0.5, 0.0, 0.0], abs=1e-15)
 
     def test_empty_series_expands_to_zero(self):
-        out = _expand_fourier({}, ProbabilityProfile([0.3, 0.6, 0.9]))
+        out = _expand_fourier(np.array([], dtype=np.int64), np.array([]), ProbabilityProfile([0.3, 0.6, 0.9]))
         assert out.coeffs.tolist() == [0.0] * 8
 
     def test_coefficients_outside_the_union_of_keys_stay_zero(self):
@@ -109,7 +110,8 @@ class TestToMultilinear:
             union = 0
             for T in keys:
                 union |= T
-            out = _expand_fourier({T: float(rng.normal()) for T in keys}, p)
+            series = {T: float(rng.normal()) for T in keys}
+            out = _expand_fourier(np.array(list(series)), np.array(list(series.values())), p)
             outside = np.ones(1 << n, dtype=bool)
             outside[submasks(union)] = False
             assert np.all(out.coeffs[outside] == 0.0)
@@ -120,7 +122,7 @@ class TestToMultilinear:
         p = random_profile(rng, 5)
         approx = best_s_approximation(f, 0b11010, p)
         series = np.zeros(32)
-        for T, c in approx.fourier.items():
+        for T, c in zip(approx.keys.tolist(), approx.fourier.tolist()):
             series += c * basis_function(p, T).values
         assert np.max(np.abs(zeta(approx.multilinear).values - series)) <= 1e-10
 
@@ -154,12 +156,30 @@ class TestResidual:
         approx = best_s_approximation(OR, 0b01, UNIFORM2)
         assert residual_norm(OR, approx, UNIFORM2) == pytest.approx(0.125, abs=1e-12)
 
+    def test_huge_worths_keep_a_finite_residual(self):
+        n = 15
+        f = PseudoBooleanFunction(n, unanimity_game(n, (1 << n) - 1).values * 1e155)
+        p = ProbabilityProfile.uniform(n)
+        got = residual_norm(f, best_s_approximation(f, 0, p), p)
+        # the projection on S = 0 is E[f], so the residual is the variance
+        assert got == pytest.approx(1e155 * (1e155 * 2.0**-15 * (1 - 2.0**-15)), rel=1e-12)
+
+    def test_scaling_keeps_the_bits_of_the_plain_sum(self):
+        rng = np.random.default_rng(37)
+        for scale in (1e-3, 1.0, 3.0, 1e6, 1e100):
+            n = int(rng.integers(1, 9))
+            f = PseudoBooleanFunction(n, rng.uniform(-1, 1, 1 << n) * scale)
+            p = random_profile(rng, n)
+            approx = best_s_approximation(f, int(rng.integers(0, 1 << n)), p)
+            diff = f.values - approx.table().values
+            assert residual_norm(f, approx, p) == _fsum(p.weights() * diff * diff)
+
     def test_parseval_form(self):
         rng = np.random.default_rng(30)
         f = random_game(rng, 6)
         p = random_profile(rng, 6)
         approx = best_s_approximation(f, 0b011011, p)
-        energy = inner_product(p, f, f) - math.fsum(c * c for c in approx.fourier.values())
+        energy = inner_product(p, f, f) - math.fsum(c * c for c in approx.fourier.tolist())
         assert residual_norm(f, approx, p) == pytest.approx(energy, abs=1e-9)
 
 
@@ -174,11 +194,11 @@ class TestOptimality:
             approx = best_s_approximation(f, S, p)
             best = weighted_sq_dist(p, f, approx.table().values)
             for _ in range(40):
-                noisy = {
-                    T: c + rng.uniform(-1, 1) * 10.0 ** rng.integers(-6, 1)
-                    for T, c in approx.fourier.items()
-                }
-                g = zeta(_expand_fourier(noisy, p))
+                noisy = [
+                    c + rng.uniform(-1, 1) * 10.0 ** rng.integers(-6, 1)
+                    for c in approx.fourier.tolist()
+                ]
+                g = zeta(_expand_fourier(approx.keys, np.array(noisy), p))
                 assert best <= weighted_sq_dist(p, f, g.values) + 1e-12
 
     def test_residual_is_orthogonal_to_the_subspace(self):
@@ -212,8 +232,28 @@ class TestOptimality:
         p = ProbabilityProfile.uniform(n)
         for S in (0b000001, 0b001010, 0b110111):
             approx = best_s_approximation(f, S, p)
-            expected = 2.0 ** S.bit_count() * approx.fourier[S]
+            expected = 2.0 ** S.bit_count() * approx.fourier[-1]  # keys ascend to S
             assert banzhaf_interaction(f, S, p) == pytest.approx(expected, abs=1e-12)
+
+
+class TestContainers:
+    def test_keys_and_fourier_are_aligned_read_only_arrays(self):
+        rng = np.random.default_rng(36)
+        f = random_game(rng, 5)
+        p = random_profile(rng, 5)
+        S = 0b10110
+        for approx in (
+            best_s_approximation(f, S, p),
+            best_k_approximation(f, 2, p),
+            lsq_normal_equations(f, S, p),
+        ):
+            assert approx.keys.dtype == np.int64 and approx.fourier.dtype == np.float64
+            assert approx.keys.shape == approx.fourier.shape
+            assert np.all(np.diff(approx.keys) > 0)
+            for column in (approx.keys, approx.fourier):
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[0] = 0
 
 
 class TestApproximationInvariants:
@@ -226,4 +266,4 @@ class TestApproximationInvariants:
         f = random_game(rng, 4)
         p = random_profile(rng, 4)
         approx = best_k_approximation(f, 2, p)
-        assert set(approx.fourier) == {T for T in range(16) if bin(T).count("1") <= 2}
+        assert approx.keys.tolist() == [T for T in range(16) if bin(T).count("1") <= 2]

@@ -1,8 +1,11 @@
-"""The benchmark's hooks into the package resolve.
+"""The benchmark's hooks into the package resolve and its gate passes.
 
 ``perfbench/gate.py`` imports pbindex functions, and ``perfbench/spans.py``
 wraps pbindex functions by name.  Renaming or deleting one of them would
 break only the traced benchmark run; these tests make it fail here too.
+The gate checks ``approximate`` against ``oracle.lsq_normal_equations`` and
+``approx.residual_norm``, so a change to either that the gate would refuse
+fails here before the benchmark runs.
 """
 
 import importlib
@@ -39,3 +42,22 @@ def test_tracer_wraps_every_target_and_restores_it(monkeypatch, tmp_path):
     assert cli.write_rows is original
     # analyze writes its report inside a span of its own
     assert "cli.write_rows" in {name for _, name, _, _, _ in tracer.spans}
+
+
+def test_gate_passes_approximate_and_reports_a_corrupt_value(monkeypatch, tmp_path):
+    workloads = _load(monkeypatch, "workloads")
+    gate = _load(monkeypatch, "gate")
+    from pbindex import cli
+
+    game = workloads.make_game(2027, "hooks", 6, tmp_path)
+    cmd = workloads._approximate(game, 0b101101, tmp_path / "approx.csv")
+    assert cli.main(cmd.argv) == 0
+    assert gate.check_approximate(cmd) == []
+
+    lines = cmd.out.read_text().splitlines()
+    head, value = lines[-1].rsplit(",", 1)
+    assert head.endswith(",residual")
+    lines[-1] = f"{head},{float(value) * (1 + 1e-6) + 1e-6!r}"
+    cmd.out.write_text("\n".join(lines) + "\n")
+    problems = gate.check_approximate(cmd)
+    assert len(problems) == 1 and problems[0].startswith("residual{0b101101}")

@@ -100,6 +100,18 @@ class TestParseGame:
         assert main(["analyze", path]) == 1
         assert capsys.readouterr().err.startswith("error: game table needs numeric entries")
 
+    @pytest.mark.parametrize(
+        "values, first",
+        [(["0", "1e0"], "entry 0 is '0'"), ([True, False], "entry 0 is True"), ([0, True], "entry 1 is True")],
+    )
+    def test_worths_that_are_not_json_numbers_fail_parsing(self, tmp_path, capsys, values, first):
+        path = write_game(tmp_path, {"version": 1, "n": 1, "values": values})
+        with pytest.raises(ParseError):
+            parse_game(path)
+        assert main(["analyze", path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: game table needs numeric entries: {first}"]
+
     def test_worths_beyond_the_float_range_fail_validation(self, tmp_path, capsys):
         path = write_game(tmp_path, {"version": 1, "n": 1, "values": [0, 10**400]})
         assert main(["analyze", path]) == 1
@@ -400,6 +412,18 @@ class TestApproximate:
             '"{1,2}",I_B,-1\n'
             '"{1,2}",residual,0\n'
         )
+
+    def test_residual_beyond_the_float_range_fails_validation(self, tmp_path, capsys):
+        values = np.random.default_rng(15).random(1 << 15) * 1e250
+        path = write_game(tmp_path, {"version": 1, "n": 15, "values": values.tolist()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["approximate", path, "--subset", "2,3,5", "--format", "csv"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the residual is beyond the float range")
 
     @pytest.mark.parametrize("selector", ["1;2", "all", "pairs"])
     def test_more_than_one_subset_is_a_validation_failure(self, tmp_path, capsys, selector):

@@ -36,11 +36,13 @@ from pbindex import (
     unanimity_game,
 )
 from pbindex import indices
+from pbindex.core import submasks
 from pbindex.indices import INFLUENCE_METHODS
 from helpers import (
     bits_of,
     brute_influence,
     brute_interaction,
+    dense_table,
     monotone_game,
     random_game,
     random_profile,
@@ -265,7 +267,7 @@ class TestGeneralizedValueCoefficients:
             p = random_profile(rng, n)
             S = int(rng.integers(0, 1 << n))
             coeffs = influence_value_coefficients(S, p)
-            vals = list(coeffs.table.values())
+            vals = coeffs.table[submasks(((1 << n) - 1) & ~S)].tolist()
             assert min(vals) >= 0.0
             assert abs(math.fsum(vals) - 1.0) <= 1e-12
 
@@ -293,9 +295,9 @@ class TestGeneralizedValueCoefficients:
 
     def test_zero_table_maps_to_zero(self):
         n, S = 3, 0b001
-        zeros = GeneralizedValueCoefficients(n, S, "p", {0: 0.0, 0b010: 0.0, 0b100: 0.0, 0b110: 0.0})
+        zeros = GeneralizedValueCoefficients(n, S, "p", np.zeros(8))
         q = gv_p_to_q(zeros)
-        assert all(v == 0.0 for v in q.table.values())
+        assert np.all(q.table == 0.0)
 
     def test_influence_q_form_is_the_product_of_probabilities(self):
         rng = np.random.default_rng(57)
@@ -303,7 +305,10 @@ class TestGeneralizedValueCoefficients:
         p = random_profile(rng, n)
         S = 0b00110
         q = gv_p_to_q(influence_value_coefficients(S, p))
-        for R, val in q.table.items():
+        for R in range(1 << n):
+            if not R & S:
+                continue
+            val = q.table[R]
             want = math.prod(p.p[i] for i in bits_of(R & ~S, n))
             assert val == pytest.approx(want, abs=1e-12)
 
@@ -322,12 +327,12 @@ class TestGeneralizedValueCoefficients:
                 for E in subsets_of(S):
                     if E:
                         table[D | E] = class_values[D]
-            q = GeneralizedValueCoefficients(n, S, "q", table)
+            q = GeneralizedValueCoefficients(n, S, "q", dense_table(n, table))
             p_form = gv_q_to_p(q)
             q_back = gv_p_to_q(p_form)
             assert max(abs(q.table[k] - q_back.table[k]) for k in table) <= 1e-10
             p_back = gv_q_to_p(q_back)
-            assert max(abs(p_form.table[k] - p_back.table[k]) for k in p_form.table) <= 1e-10
+            assert max(abs(p_form.table[k] - p_back.table[k]) for k in subsets_of(comp)) <= 1e-10
 
     def test_constant_q_form_against_direct_alternating_sum(self):
         n, S = 4, 0b0011
@@ -335,7 +340,7 @@ class TestGeneralizedValueCoefficients:
         from pbindex import subsets_of
 
         table = {D | E: 1.0 for D in subsets_of(comp) for E in subsets_of(S) if E}
-        p_form = gv_q_to_p(GeneralizedValueCoefficients(n, S, "q", table))
+        p_form = gv_q_to_p(GeneralizedValueCoefficients(n, S, "q", dense_table(n, table)))
         for T in subsets_of(comp):
             direct = math.fsum(
                 (-1.0) ** (len(bits_of(R, n)) - len(bits_of(T, n)))
@@ -351,13 +356,13 @@ class TestGeneralizedValueCoefficients:
         table = {D | E: 1.0 for D in subsets_of(0b100) for E in subsets_of(S) if E}
         table[0b001] = 1.0 + 1e-6  # breaks the R - S dependence
         with pytest.raises(InvalidCoefficients):
-            gv_q_to_p(GeneralizedValueCoefficients(n, S, "q", table))
+            gv_q_to_p(GeneralizedValueCoefficients(n, S, "q", dense_table(n, table)))
 
     def test_kind_and_key_validation(self):
         with pytest.raises(ValidationError):
-            GeneralizedValueCoefficients(2, 0b01, "x", {})
+            GeneralizedValueCoefficients(2, 0b01, "x", np.zeros(4))
         with pytest.raises(ValidationError):
-            GeneralizedValueCoefficients(2, 0b01, "p", {0b01: 1.0})
+            GeneralizedValueCoefficients(2, 0b01, "p", dense_table(2, {0b01: 1.0}))
         pc = influence_value_coefficients(0b01, UNIFORM2)
         with pytest.raises(ValidationError):
             gv_q_to_p(pc)
@@ -365,6 +370,48 @@ class TestGeneralizedValueCoefficients:
             gv_p_to_q(gv_p_to_q(pc))
         with pytest.raises(EmptySubset):
             gv_p_to_q(influence_value_coefficients(0, UNIFORM2))
+
+
+class TestTableContainers:
+    def test_interaction_table_is_a_read_only_array_indexed_by_mask(self):
+        table = interaction_table(OR, UNIFORM2)
+        assert table.dtype == np.float64 and table.shape == (4,)
+        assert not table.flags.writeable
+
+    def test_generalized_value_tables_are_read_only_and_zero_off_support(self):
+        n, S = 5, 0b00101
+        p = random_profile(np.random.default_rng(59), n)
+        meets = (np.arange(1 << n) & S) != 0
+        p_form = influence_value_coefficients(S, p)
+        q_form = gv_p_to_q(p_form)
+        for coeffs, off in ((p_form, meets), (q_form, ~meets), (gv_q_to_p(q_form), meets)):
+            assert coeffs.table.dtype == np.float64 and coeffs.table.shape == (1 << n,)
+            assert not coeffs.table.flags.writeable
+            assert np.all(coeffs.table[off] == 0.0)
+
+    def test_off_support_entries_and_malformed_tables_are_rejected(self):
+        with pytest.raises(ValidationError, match="holds 1.0 at 0b1: .* 0.0 off the support"):
+            GeneralizedValueCoefficients(2, 0b01, "p", np.array([0.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(ValidationError, match="holds 1.0 at 0b10: .* 0.0 off the support"):
+            GeneralizedValueCoefficients(2, 0b01, "q", np.array([0.0, 1.0, 1.0, 1.0]))
+        with pytest.raises(ValidationError, match="holds nan at 0b0: entries must be finite"):
+            GeneralizedValueCoefficients(2, 0b01, "p", np.array([np.nan, 0.0, 0.0, 0.0]))
+        for bad in ({0: 1.0, 0b10: 0.0}, [1.0, 0.0, 0.0, 0.0], np.zeros(3), np.zeros(4, dtype=np.int64)):
+            with pytest.raises(ValidationError, match="needs a float64 array of 2\\*\\*2"):
+                GeneralizedValueCoefficients(2, 0b01, "p", bad)
+
+    def test_q_to_p_names_the_first_broken_class(self):
+        n, S = 3, 0b011
+        table = {D | E: 1.0 for D in (0, 0b100) for E in (1, 2, 3)}
+        table[0b001] = 1.0 + 1e-6  # class R - S = 0
+        table[0b101] = 1.0 + 1e-3  # class R - S = {3}, the wider spread
+        with pytest.raises(InvalidCoefficients) as caught:
+            gv_q_to_p(GeneralizedValueCoefficients(n, S, "q", dense_table(n, table)))
+        assert str(caught.value) == "q values for R-S=0b0 spread by 1.000e-06 > 1e-12"
+        table[0b001] = 1.0
+        with pytest.raises(InvalidCoefficients) as caught:
+            gv_q_to_p(GeneralizedValueCoefficients(n, S, "q", dense_table(n, table)))
+        assert str(caught.value) == "q values for R-S=0b100 spread by 1.000e-03 > 1e-12"
 
 
 class TestContrastFunction:
@@ -449,7 +496,7 @@ class TestTaylorReconstruct:
         assert np.max(np.abs(rebuilt.values - u.values)) <= 1e-12
 
     def test_or_game_example(self):
-        table = {0b00: 0.75, 0b01: 0.5, 0b10: 0.5, 0b11: -1.0}
+        table = [0.75, 0.5, 0.5, -1.0]
         rebuilt = taylor_reconstruct(table, UNIFORM2)
         assert rebuilt.values.tolist() == pytest.approx([0, 1, 1, 1], abs=1e-12)
 
@@ -473,6 +520,12 @@ class TestTaylorReconstruct:
             taylor_reconstruct(table, UNIFORM2)
         with pytest.raises(IncompleteTable):
             taylor_reconstruct(np.zeros(3), UNIFORM2)
+
+    def test_dicts_and_non_numeric_tables_raise_incomplete_table(self):
+        complete = {0b00: 0.75, 0b01: 0.5, 0b10: 0.5, 0b11: -1.0}
+        for bad in (complete, [[0.75, 0.5, 0.5, -1.0]], "abcd", 1.0, [object()] * 4):
+            with pytest.raises(IncompleteTable):
+                taylor_reconstruct(bad, UNIFORM2)
 
 
 class TestStructuralIdentities:
@@ -657,4 +710,4 @@ class TestIndexReport:
 
 class TestInteractionTable:
     def test_or_game_values(self):
-        assert interaction_table(OR, UNIFORM2) == {0b00: 0.75, 0b01: 0.5, 0b10: 0.5, 0b11: -1.0}
+        assert interaction_table(OR, UNIFORM2).tolist() == [0.75, 0.5, 0.5, -1.0]

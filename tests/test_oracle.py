@@ -72,7 +72,7 @@ class TestNormalEquations:
         p = random_profile(rng, 5)
         approx = lsq_normal_equations(f, 0b10110, p)
         table = approx.table()
-        for T, c in approx.fourier.items():
+        for T, c in zip(approx.keys.tolist(), approx.fourier.tolist()):
             assert c == pytest.approx(inner_product(p, table, basis_function(p, T)), abs=1e-10)
 
     def test_oversized_subset_rejected(self):

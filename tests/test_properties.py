@@ -129,8 +129,8 @@ def test_report_agrees_across_the_routing_threshold(data, game):
 def test_interaction_table_matches_every_subset(game):
     f, p = game
     table = interaction_table(f, p)
-    assert sorted(table) == list(range(1 << f.n))
-    for S, value in table.items():
+    assert table.shape == (1 << f.n,)
+    for S, value in enumerate(table.tolist()):
         assert _close(value, banzhaf_interaction(f, S, p))
 
 
@@ -173,9 +173,9 @@ def test_inner_product_route_sums_the_support_of_g_exactly(data, game):
 def test_projection_coefficients_are_basis_inner_products(data, game):
     f, p = game
     S = data.draw(_masks(f.n))
-    fourier = best_s_approximation(f, S, p).fourier
-    assert list(fourier) == list(subsets_of(S))
-    for T, c in fourier.items():
+    approx = best_s_approximation(f, S, p)
+    assert approx.keys.tolist() == list(subsets_of(S))
+    for T, c in zip(approx.keys.tolist(), approx.fourier.tolist()):
         assert abs(c - inner_product(p, f, basis_function(p, T))) <= _game_tol(f)
 
 
