@@ -16,7 +16,6 @@ independent normal-equations route lives in :mod:`pbindex.oracle`.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -33,7 +32,7 @@ from .core import (
     zeta,
 )
 from .errors import DimensionError, ValidationError
-from .measure import ProbabilityProfile, _check_same_n, _fsum
+from .measure import ProbabilityProfile, _check_same_n, _weighted_product_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,17 +141,11 @@ def residual_norm(
 ) -> float:
     """Squared weighted distance sum_T w(T) (f(T) - g(T))^2 to the approximant.
 
-    Summed for (f - g) / 2**e, 2**e just above max|f - g| (e >= 0), so no square
+    Summed by :func:`~pbindex.measure._weighted_product_sum`, so no square
     overflows; a residual past the float range raises :class:`ValidationError`.
     """
     _check_same_n(profile, f)
     if approx.n != f.n:
         raise DimensionError(f"approximation has n={approx.n} but game has n={f.n}")
     diff = f.values - approx.table().values
-    e = max(math.frexp(float(np.max(np.abs(diff))))[1], 0)
-    diff *= math.ldexp(1.0, -e)
-    with contextlib.suppress(OverflowError):  # from ldexp past the float range
-        residual = math.ldexp(_fsum(profile.weights() * diff * diff), 2 * e)
-        if math.isfinite(residual):
-            return residual
-    raise ValidationError("the residual is beyond the float range (the worths overflow)")
+    return _weighted_product_sum(profile, diff, diff, "the residual")

@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -394,10 +395,13 @@ def _check_orthonormality(game, profile, rng) -> CheckResult:
 
 
 def _check_parseval(game, profile) -> CheckResult:
+    # on the game / 2**e, so no square overflows; the floor 2**-2e is 1 unscaled
+    scale = math.ldexp(1.0, -measure._scale_exponent(game.values))
+    game = PseudoBooleanFunction(game.n, game.values * scale)
     total = measure.inner_product(profile, game, game)
     coeffs = approx_mod.fourier_table(game, profile)
     dev = abs(measure._fsum(coeffs * coeffs) - total)
-    rel = dev / max(abs(total), 1.0)
+    rel = dev / max(total, scale * scale)
     return CheckResult("parseval", rel <= 1e-9, rel)
 
 
@@ -432,6 +436,8 @@ def _check_quadrature(game, rng) -> CheckResult:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValidationError(f"--trials must be at least 1, got {args.trials}")
     game = parse_game(args.game)
     profile = parse_profile(args.p, game.n)
     rng = np.random.default_rng(args.seed)

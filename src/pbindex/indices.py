@@ -50,9 +50,10 @@ from .errors import (
 )
 from .measure import (
     ProbabilityProfile,
-    _centered_variance,
     _check_same_n,
     _fsum,
+    _scale_exponent,
+    _weighted_product_sum,
     covariance,
     expectation,
     variance,
@@ -362,16 +363,19 @@ def normalized_influence(
 
     Scale- and shift-invariant in f, bounded by 1 in absolute value, with
     |r| = 1 exactly for f = a g_{S,p} + b.  Raises for S = 0 and for
-    (numerically) constant f.
+    (numerically) constant f.  Taken for f / 2**e, with the scale of
+    f - E[f] as in :func:`index_report`, so huge worths keep their r.
     """
     _check_same_n(profile, f)
     check_mask(S, f.n)
     if S == 0:
         raise EmptySubset("the normalized influence index needs a nonempty S")
-    sigma_f = math.sqrt(variance(profile, f))
-    if sigma_f <= DEGENERACY_EPS:
-        raise DegenerateFunction(f"sigma(f) = {sigma_f:.3e} is numerically zero")
-    cov = covariance(profile, f, g_function(S, profile))
+    scale = math.ldexp(1.0, -_scale_exponent(f.values - expectation(profile, f)))
+    scaled = PseudoBooleanFunction(f.n, f.values * scale)
+    sigma_f = math.sqrt(variance(profile, scaled))
+    if sigma_f <= DEGENERACY_EPS * scale:
+        raise DegenerateFunction(f"sigma(f) = {sigma_f / scale:.3e} is numerically zero")
+    cov = covariance(profile, scaled, g_function(S, profile))
     return float(_correlations(np.array([cov]), sigma_f, np.array([g_std(S, profile)]))[0])
 
 
@@ -546,14 +550,12 @@ def index_report(
     _check_same_n(profile, f)
     masks = _mask_array(subsets, f.n)
     mean = expectation(profile, f)
-    # r does not depend on the scale of f: sigma_f and Phi are taken for
-    # f / 2**e, with 2**e just above max|f - E[f]| (e >= 0), so that the
-    # squares in sigma_f cannot overflow.  Scaling by a power of two is exact,
-    # so r keeps its bits wherever no product leaves the normal range.
+    # sigma_f and Phi are taken for f / 2**e, the scale of f - E[f], so no
+    # square overflows; r keeps its bits wherever products stay normal
     centered = f.values - mean
-    e = math.frexp(float(np.max(np.abs(centered))))[1]
-    scale = math.ldexp(1.0, -max(e, 0))
-    sigma_f = math.sqrt(_centered_variance(profile, centered * scale))
+    scale = math.ldexp(1.0, -_scale_exponent(centered))
+    scaled = centered * scale
+    sigma_f = math.sqrt(_weighted_product_sum(profile, scaled, scaled, "the variance"))
     if np.unique(masks).size > f.n:
         p = profile.p.tolist()
         interaction = _interaction_values(f.values, p)

@@ -7,7 +7,10 @@ the weighted Euclidean inner product, the orthonormal basis
 
     v_{T,p}(x) = prod_{i in T} (x_i - p_i) / sqrt(p_i (1 - p_i)),
 
-expectations and covariances of games under C.
+expectations and covariances of games under C.  Every weighted sum of
+products of worths goes through :func:`_weighted_product_sum`: it sums at an
+exact power-of-two scale where a product could overflow, and raises
+:class:`ValidationError` for a sum past the float range.
 """
 
 from __future__ import annotations
@@ -158,12 +161,38 @@ def coalition_weight(profile: ProbabilityProfile, T: Coalition) -> float:
     return math.prod(pi if T >> i & 1 else 1.0 - pi for i, pi in enumerate(profile.p))
 
 
+def _scale_exponent(d: np.ndarray) -> int:
+    """The e >= 0 with 2**e just above max|d|, so that d / 2**e lies in (-1, 1)."""
+    return max(math.frexp(float(max(d.max(), -d.min())))[1], 0)
+
+
+def _weighted_product_sum(profile: ProbabilityProfile, a, b, what: str) -> float:
+    """sum_x w(x) a(x) b(x) for a / 2**ea and b / 2**eb, scaled back by 2**(ea + eb).
+
+    ea and eb are the :func:`_scale_exponent` of a and b, or 0 where every
+    product stays below 2**1022 (the plain sum, bit for bit).  A sum past the
+    float range raises :class:`ValidationError` naming ``what``.
+    """
+    ea, eb = _scale_exponent(a), _scale_exponent(b)
+    if ea + eb > 1022:
+        a, b = np.ldexp(a, -ea), np.ldexp(b, -eb)
+    else:  # |w a b| < 2**1022: the plain sum cannot overflow
+        ea = eb = 0
+    terms = profile.weights() * a
+    terms *= b
+    total = _fsum(terms)
+    if math.isfinite(total) and math.frexp(total)[1] + ea + eb <= 1024:
+        return math.ldexp(total, ea + eb)
+    raise ValidationError(f"{what} is beyond the float range (the worths overflow)")
+
+
 def inner_product(
     profile: ProbabilityProfile, f: PseudoBooleanFunction, g: PseudoBooleanFunction
 ) -> float:
-    """Weighted Euclidean inner product sum_x w(x) f(x) g(x)."""
+    """Weighted inner product sum_x w(x) f(x) g(x), by :func:`_weighted_product_sum`,
+    so past the float range it raises :class:`ValidationError`."""
     _check_same_n(profile, f, g)
-    return _fsum(profile.weights() * f.values * g.values)
+    return _weighted_product_sum(profile, f.values, g.values, "the inner product")
 
 
 def _basis_pairs(profile: ProbabilityProfile, T: Coalition) -> list[tuple[float, float]]:
@@ -201,23 +230,20 @@ def covariance(
     Summed after centering.  The textbook <f, g> - E[f] E[g] cancels when f
     or g is nearly constant under C, as for p_i near 0 or 1: for f = (1, 0)
     at p = 1e-9 its variance is off by 3e-8 relative, which pushes the
-    normalized influence past |r| = 1.
+    normalized influence past |r| = 1.  Summed by :func:`_weighted_product_sum`,
+    so past the float range it raises :class:`ValidationError`.
     """
     _check_same_n(profile, f, g)
     df = f.values - expectation(profile, f)
     dg = g.values - expectation(profile, g)
-    return _fsum(profile.weights() * df * dg)
+    return _weighted_product_sum(profile, df, dg, "the covariance")
 
 
 def variance(profile: ProbabilityProfile, f: PseudoBooleanFunction) -> float:
-    """var(f) = E[(f - E[f])^2], centered as in :func:`covariance`, floored at zero."""
+    """var(f) = E[(f - E[f])^2], centered, summed and checked as in :func:`covariance`."""
     _check_same_n(profile, f)
-    return _centered_variance(profile, f.values - expectation(profile, f))
-
-
-def _centered_variance(profile: ProbabilityProfile, d: np.ndarray) -> float:
-    """E[d^2] for a table d = f - E[f] centered by the caller, floored at zero."""
-    return max(_fsum(profile.weights() * d * d), 0.0)
+    d = f.values - expectation(profile, f)
+    return _weighted_product_sum(profile, d, d, "the variance")
 
 
 def multilinear_expectation(profile: ProbabilityProfile, f: PseudoBooleanFunction) -> float:

@@ -41,7 +41,14 @@ from .core import (
 )
 from .errors import SingularSystem, ValidationError
 from .indices import banzhaf_influence
-from .measure import ProbabilityProfile, _check_same_n, _fsum, basis_function, inner_product
+from .measure import (
+    ProbabilityProfile,
+    _check_same_n,
+    _fsum,
+    _scale_exponent,
+    basis_function,
+    inner_product,
+)
 
 
 @dataclass(frozen=True)
@@ -69,8 +76,10 @@ def lsq_normal_equations(
 
     The Gram matrix has entries <u_T, u_R> = prod_{i in T u R} p_i and the
     right-hand side <f, u_T> = sum_{x superseteq T} w(x) f(x).  Solved with
-    LU partial pivoting; strictly interior profiles make the system positive
-    definite, so :class:`SingularSystem` is a defensive guard only.
+    LU partial pivoting.  The system is positive definite in exact arithmetic,
+    but with p_i near 0 or 1 its rows nearly coincide and LU can meet an exact
+    zero pivot: then it raises :class:`SingularSystem`, as at p_i = 1 - 1e-9
+    for S = {1,2} (n = 7).
     """
     _check_same_n(profile, f)
     check_mask(S, f.n)
@@ -136,12 +145,9 @@ def _make_estimate(draws: np.ndarray, samples: int, seed: int) -> SampleEstimate
     lo, hi = draws.min(), draws.max()
     if lo == hi:  # identical observations: the mean is exact and the spread is zero
         return SampleEstimate(float(lo), 0.0, samples, seed)
-    return SampleEstimate(
-        mean=float(draws.mean()),
-        std_error=float(draws.std(ddof=1) / math.sqrt(samples)),
-        samples=samples,
-        seed=seed,
-    )
+    e = _scale_exponent(draws)  # the spread of draws / 2**e: no square overflows
+    spread = float(np.std(np.ldexp(draws, -e), ddof=1) / math.sqrt(samples))
+    return SampleEstimate(float(draws.mean()), math.ldexp(spread, e), samples, seed)
 
 
 TRANSFORMS = ("identity", "sigma", "delta")

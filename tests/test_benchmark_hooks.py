@@ -3,9 +3,10 @@
 ``perfbench/gate.py`` imports pbindex functions, and ``perfbench/spans.py``
 wraps pbindex functions by name.  Renaming or deleting one of them would
 break only the traced benchmark run; these tests make it fail here too.
-The gate checks ``approximate`` against ``oracle.lsq_normal_equations`` and
-``approx.residual_norm``, so a change to either that the gate would refuse
-fails here before the benchmark runs.
+The gate checks ``analyze`` against other routes (r through
+``measure.variance``), ``approximate`` against ``oracle.lsq_normal_equations``
+and ``approx.residual_norm``, and ``verify`` by its PASS lines, so a change
+the gate would refuse fails here before the benchmark runs.
 """
 
 import importlib
@@ -61,3 +62,36 @@ def test_gate_passes_approximate_and_reports_a_corrupt_value(monkeypatch, tmp_pa
     cmd.out.write_text("\n".join(lines) + "\n")
     problems = gate.check_approximate(cmd)
     assert len(problems) == 1 and problems[0].startswith("residual{0b101101}")
+
+
+def test_gate_passes_analyze_on_both_routes_and_reports_a_corrupt_r(monkeypatch, tmp_path):
+    workloads = _load(monkeypatch, "workloads")
+    gate = _load(monkeypatch, "gate")
+    from pbindex import cli
+
+    game = workloads.make_game(2027, "hooks", 6, tmp_path)
+    sample = [0b000001, 0b010110, 0b111111]
+    # at most n subsets take the per-subset route, more the whole-lattice tables
+    for subsets, selector in ((sample, "1;2,3,5;1,2,3,4,5,6"), (list(range(1 << 6)), "all")):
+        cmd = workloads._analyze(game, subsets, selector, tmp_path / f"analyze-{len(subsets)}.csv", sample)
+        assert cli.main(cmd.argv) == 0
+        assert gate.check_analyze(cmd) == []
+
+    lines = cmd.out.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith('"{2,3,5}",r,'))
+    head, value = lines[k].rsplit(",", 1)
+    lines[k] = f"{head},{float(value) * (1 + 1e-6) + 1e-6!r}"
+    cmd.out.write_text("\n".join(lines) + "\n")
+    problems = gate.check_analyze(cmd)
+    assert len(problems) == 1 and problems[0].startswith("r{0b10110}")
+
+
+def test_gate_passes_verify(monkeypatch, tmp_path):
+    workloads = _load(monkeypatch, "workloads")
+    gate = _load(monkeypatch, "gate")
+    from pbindex import cli
+
+    game = workloads.make_game(2027, "hooks", 6, tmp_path)
+    cmd = workloads._verify(game, 11, tmp_path / "verify.txt")
+    assert cli.main(cmd.argv) == 0
+    assert gate.check_verify(cmd) == []

@@ -457,6 +457,25 @@ class TestVerify:
         assert "max deviation" in lines[2]
         assert lines[-1] == "all checks passed"
 
+    def test_parseval_does_not_depend_on_a_power_of_two_scale(self, tmp_path, capsys):
+        values = np.random.default_rng(16).random(1 << 12)
+        lines = {}
+        for k in (0, 600):
+            doc = {"version": 1, "n": 12, "values": np.ldexp(values, k).tolist()}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                main(["verify", write_game(tmp_path, doc), "--trials", "1", "--samples", "200"])
+            lines[k] = capsys.readouterr().out.splitlines()[2]
+        assert lines[0].startswith("PASS  parseval") and lines[600] == lines[0]
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    @pytest.mark.parametrize("fault", [[], ["--inject-fault"]])
+    def test_trials_below_one_fail_validation(self, tmp_path, capsys, trials, fault):
+        assert main(["verify", write_game(tmp_path, OR_DOC), "--trials", trials, *fault]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
+
     def test_chunked_orthonormality_matches_the_dense_gram(self, monkeypatch):
         monkeypatch.setattr(cli, "ORTHO_CHUNK_BITS", 4)  # groups of 4 + 4 and 4 + 4 + 1 players
         for n in (8, 9):

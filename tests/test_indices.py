@@ -655,14 +655,19 @@ class TestIndexReport:
         rng = np.random.default_rng(77)
         f = random_game(rng, 3)
         p = ProbabilityProfile([0.2, 0.5, 0.7])
-        for subsets in ([0b101, 0b011], list(range(8))):  # both routes
-            plain = index_report(f, p, subsets).correlation
-            for e in (40, 600, 1000):
-                scaled = PseudoBooleanFunction(3, np.ldexp(f.values, e))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")  # no overflow in sigma_f
-                    r = index_report(scaled, p, subsets).correlation
-                assert np.array_equal(r, plain, equal_nan=True)
+
+        def normalized(g, subsets):
+            return np.array([normalized_influence(g, S, p) if S else np.nan for S in subsets])
+
+        for correlations in (lambda g, subsets: index_report(g, p, subsets).correlation, normalized):
+            for subsets in ([0b101, 0b011], list(range(8))):  # both routes of the report
+                plain = correlations(f, subsets)
+                for e in (40, 600, 1000):
+                    scaled = PseudoBooleanFunction(3, np.ldexp(f.values, e))
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")  # no overflow in sigma_f
+                        r = correlations(scaled, subsets)
+                    assert np.array_equal(r, plain, equal_nan=True)
 
     def test_integer_arrays_are_checked_without_iteration(self):
         class Opaque(np.ndarray):

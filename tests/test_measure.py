@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pbindex import (
     ProbabilityProfile,
     ValidationError,
     basis_function,
+    best_s_approximation,
     coalition_weight,
     covariance,
     expectation,
@@ -19,6 +21,7 @@ from pbindex import (
     g_std,
     inner_product,
     mobius,
+    residual_norm,
     unanimity_game,
     variance,
 )
@@ -180,6 +183,27 @@ class TestCovariance:
         for S in (0b000001, 0b001101, 0b111111):
             g = g_function(S, p)
             assert covariance(p, g, g) == pytest.approx(g_std(S, p) ** 2, rel=1e-10)
+
+
+class TestPowerOfTwoScale:
+    def test_sums_of_products_scale_exactly_or_fail_validation(self):
+        rng = np.random.default_rng(14)
+        f = random_game(rng, 3)
+        p = ProbabilityProfile([0.2, 0.5, 0.7])
+        sums = {
+            "variance": lambda g: variance(p, g),
+            "inner product": lambda g: inner_product(p, g, g),
+            "residual": lambda g: residual_norm(g, best_s_approximation(g, 0b001, p), p),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, of in sums.items():
+                plain = of(f)
+                # at k = 512 the squares pass 2**1023, so the sum is taken scaled
+                for k in (40, 300, 512):
+                    assert of(PseudoBooleanFunction(3, np.ldexp(f.values, k))) == math.ldexp(plain, 2 * k)
+                with pytest.raises(ValidationError, match=f"the {name} is beyond the float range"):
+                    of(PseudoBooleanFunction(3, np.ldexp(f.values, 1000)))
 
 
 class TestParseval:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pbindex import (
     PseudoBooleanFunction,
     ProbabilityProfile,
     SampleEstimate,
+    SingularSystem,
     ValidationError,
     banzhaf_influence,
     banzhaf_interaction,
@@ -75,6 +77,13 @@ class TestNormalEquations:
         for T, c in zip(approx.keys.tolist(), approx.fourier.tolist()):
             assert c == pytest.approx(inner_product(p, table, basis_function(p, T)), abs=1e-10)
 
+    def test_gram_system_near_the_interior_bound_is_singular(self):
+        # positive definite in exact arithmetic, but LU meets a zero pivot here
+        f = random_game(np.random.default_rng(84), 7)
+        p = ProbabilityProfile.constant(7, 1.0 - 1e-9)
+        with pytest.raises(SingularSystem, match="Gram system for S=0b11 is singular"):
+            lsq_normal_equations(f, 0b11, p)
+
     def test_oversized_subset_rejected(self):
         rng = np.random.default_rng(83)
         f = random_game(rng, 18)  # keep the table small enough to build quickly
@@ -126,6 +135,22 @@ class TestSampling:
             freq = np.mean(draws >> i & 1)
             se = math.sqrt(p.p[i] * (1 - p.p[i]) / 50_000)
             assert abs(freq - p.p[i]) <= 4 * se
+
+
+def test_standard_errors_scale_exactly_with_the_worths():
+    # the spread is taken at a power-of-two scale, so no square overflows
+    rng = np.random.default_rng(97)
+    f, p = random_game(rng, 12), random_profile(rng, 12)
+    big = PseudoBooleanFunction(12, np.ldexp(f.values, 600))
+    estimators = [
+        lambda g: mc_expectation(g, "sigma", 0b101, p, 1000, seed=7),
+        lambda g: cdf_integral_check(g, 0b101, p, 1000, seed=7),
+    ]
+    for estimate in estimators:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = estimate(big)
+        assert scaled.std_error == math.ldexp(estimate(f).std_error, 600)
 
 
 class TestMcExpectation:
