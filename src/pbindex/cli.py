@@ -305,7 +305,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     game = parse_game(args.game)
     profile = parse_profile(args.p, game.n)
     subsets = parse_subsets(args.subsets, game.n)
-    report = indices.index_report(game, profile, subsets, game_id=str(args.game))
+    report = indices.index_report(game, profile, subsets)
     columns = {
         "I_B": report.interaction,
         "Phi_B": report.influence,

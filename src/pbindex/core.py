@@ -5,8 +5,9 @@ the player set N = {1, ..., n}.  Coalitions are bitmasks: bit i set means
 player i+1 belongs to T, so the whole function is a table of 2**n float64
 values indexed by mask.  This module holds the combinatorial workhorses the
 rest of the package builds on: the Mobius and zeta (subset-sum) transforms,
-discrete S-derivatives, the switch operator sigma_S, unanimity games, and
-evaluation of the multilinear extension.
+discrete S-derivatives, the switch operator sigma_S, unanimity games, the
+multilinear extension, and :func:`split_submasks`, the lattice split by a
+coalition S behind every per-subset index sum.
 
 All objects are immutable after construction and every function is pure, so
 the module is safe for concurrent reads without locking.
@@ -81,13 +82,18 @@ def subsets_of(mask: Coalition) -> Iterator[Coalition]:
 def submasks(mask: Coalition) -> np.ndarray:
     """All submasks of ``mask`` as an int64 array, in the order of :func:`subsets_of`.
 
-    Each bit of ``mask``, lowest first, appends a copy of the array with that bit set.
+    Each bit of ``mask``, lowest first, fills the next block: the ones before, with that bit set.
     """
-    out = np.zeros(1, dtype=np.int64)
-    for i in range(int(mask).bit_length()):
-        if mask >> i & 1:
-            out = np.concatenate([out, out | (1 << i)])
+    bits = [i for i in range(int(mask).bit_length()) if mask >> i & 1]
+    out = np.zeros(1 << len(bits), dtype=np.int64)
+    for j, i in enumerate(bits):
+        np.bitwise_or(out[: 1 << j], 1 << i, out=out[1 << j : 2 << j])
     return out
+
+
+def split_submasks(S: Coalition, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(D, R): the ascending submasks of N - S and of S.  T = D | R meets S iff R != 0."""
+    return submasks(full_mask(n) & ~S), submasks(S)
 
 
 def product_table(pairs: Sequence[tuple[float, float]]) -> np.ndarray:

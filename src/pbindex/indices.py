@@ -10,7 +10,8 @@ gap f_{S,p}(S) - f_{S,p}(0) of the best S-approximation, the expectation of the
 switch operator E[(sigma_S f)(C)], the inner product <f, g_{S,p}>, and a
 generalized value sum_{T subseteq N-S} p_T^S (f(T u S) - f(T)); all four routes
 are implemented and kept as first-class methods because their agreement is the
-whole point of the construction.
+whole point of the construction.  Every per-subset sum lists its terms
+T = D | R, D inside N - S and R inside S, by ``core.split_submasks``.
 
 Also here: the Shapley generalized value, the Ben-Or-Linial influence, the
 conversions between the two coefficient forms of a generalized value, the
@@ -34,9 +35,9 @@ from .core import (
     PseudoBooleanFunction,
     axis_map_inplace,
     check_mask,
-    full_mask,
     mobius,
     product_table,
+    split_submasks,
     submasks,
     subset_products,
 )
@@ -52,6 +53,7 @@ from .measure import (
     ProbabilityProfile,
     _check_same_n,
     _fsum,
+    _fsum_split,
     _scale_exponent,
     _weighted_product_sum,
     covariance,
@@ -65,13 +67,8 @@ INFLUENCE_METHODS = ("mobius", "projection", "average", "inner-product")
 DEGENERACY_EPS = 1e-12
 
 
-def _comp_masks(S: Coalition, n: int) -> np.ndarray:
-    """Submasks of the complement of S, ascending (packed order)."""
-    return submasks(full_mask(n) & ~S)
-
-
 def _comp_weights(S: Coalition, profile: ProbabilityProfile) -> np.ndarray:
-    """Pr(C - S = T) = prod_{i in T} p_i prod_{i in N-S-T} (1-p_i), T in :func:`_comp_masks`."""
+    """Pr(C - S = D) = prod_{i in D} p_i prod_{i in N-S-D} (1-p_i), D as in ``split_submasks``."""
     p = profile.p.tolist()
     return product_table([(1.0 - p[i], p[i]) for i in range(profile.n) if not S >> i & 1])
 
@@ -86,10 +83,10 @@ def banzhaf_interaction(
     """
     _check_same_n(profile, f)
     check_mask(S, f.n)
-    a = mobius(f)
-    subs = _comp_masks(S, f.n)
-    prods = subset_products([profile.p[i] for i in range(f.n) if not S >> i & 1])
-    return _fsum(a.coeffs[subs | S] * prods)
+    D, _ = split_submasks(S, f.n)
+    terms = mobius(f).coeffs[D | S]  # gathered before the products: a table less at the peak
+    terms *= subset_products([pi for i, pi in enumerate(profile.p.tolist()) if not S >> i & 1])
+    return _fsum(terms)
 
 
 def g_function(S: Coalition, profile: ProbabilityProfile) -> PseudoBooleanFunction:
@@ -117,13 +114,10 @@ def _g_values(S: Coalition, profile: ProbabilityProfile, masks: np.ndarray) -> n
 
 
 def _influence_mobius(f, S, profile):
-    # sum over T meeting S of a(T) prod_{i in T-S} p_i
-    a = mobius(f)
-    factors = [1.0 if S >> i & 1 else profile.p[i] for i in range(f.n)]
-    prods = subset_products(factors)
-    masks = np.arange(1 << f.n)
-    sel = (masks & S) != 0
-    return _fsum(a.coeffs[sel] * prods[sel])
+    # sum over T = D | R meeting S (R != 0) of a(T) prod_{i in D} p_i, as in banzhaf_interaction
+    D, R = split_submasks(S, f.n)
+    prods = subset_products([pi for i, pi in enumerate(profile.p.tolist()) if not S >> i & 1])
+    return _fsum_split(mobius(f).coeffs.take(D[:, None] | R[1:]) * prods[:, None], D, R[1:])
 
 
 def _influence_projection(f, S, profile):
@@ -132,16 +126,16 @@ def _influence_projection(f, S, profile):
 
 
 def _influence_average(f, S, profile):
-    subs = _comp_masks(S, f.n)
-    return _fsum(_comp_weights(S, profile) * (f.values[subs | S] - f.values[subs]))
+    D, _ = split_submasks(S, f.n)
+    return _fsum(_comp_weights(S, profile) * (f.values[D | S] - f.values[D]))
 
 
 def _influence_inner_product(f, S, profile):
     # <f, g_{S,p}> over the support of g_{S,p} only: the T that contain S or
     # miss it.  The dropped terms are exact zeros, which leave the correctly
     # rounded sum unchanged, so this equals the dense inner product bitwise.
-    comp = _comp_masks(S, f.n)
-    T = np.concatenate([comp | S, comp])
+    D, _ = split_submasks(S, f.n)
+    T = np.concatenate([D | S, D])
     return _fsum(profile.weights()[T] * f.values[T] * _g_values(S, profile, T))
 
 
@@ -209,11 +203,9 @@ def shapley_generalized_value(f: PseudoBooleanFunction, S: Coalition) -> float:
     profile (p, ..., p).
     """
     check_mask(S, f.n)
-    a = mobius(f)
-    masks = np.arange(1 << f.n)
-    sel = (masks & S) != 0
-    outside = np.bitwise_count((masks & ~S)[sel].astype(np.uint32)).astype(np.float64)
-    return _fsum(a.coeffs[sel] / (outside + 1.0))
+    D, R = split_submasks(S, f.n)
+    divisors = np.bitwise_count(D) + 1.0  # |T - S| + 1, float64
+    return _fsum_split(mobius(f).coeffs.take(D[:, None] | R[1:]) / divisors[:, None], D, R[1:])
 
 
 def ben_or_linial_influence(f: PseudoBooleanFunction, S: Coalition) -> float:
@@ -225,11 +217,10 @@ def ben_or_linial_influence(f: PseudoBooleanFunction, S: Coalition) -> float:
     at the uniform profile.
     """
     check_mask(S, f.n)
-    outer = _comp_masks(S, f.n)
-    inner = submasks(S)
-    grid = f.values[outer[:, None] | inner[None, :]]
+    D, R = split_submasks(S, f.n)
+    grid = f.values[D[:, None] | R]
     spread = grid.max(axis=1) - grid.min(axis=1)
-    return _fsum(spread) / float(len(outer))
+    return _fsum(spread) / float(len(D))
 
 
 # ---------------------------------------------------------------------------
@@ -282,27 +273,27 @@ def influence_value_coefficients(
     """
     check_mask(S, profile.n)
     table = np.zeros(1 << profile.n)
-    table[_comp_masks(S, profile.n)] = _comp_weights(S, profile)
+    table[split_submasks(S, profile.n)[0]] = _comp_weights(S, profile)
     return GeneralizedValueCoefficients(profile.n, S, "p", table)
 
 
 def _conversion_input(coeffs: GeneralizedValueCoefficients, kind: str, name: str):
-    # n, S and the submasks D of N-S, ascending, after checking the form and S
+    # n, S and the split_submasks D and R of S, after checking the form and S
     if coeffs.kind != kind:
         raise ValidationError(f"{name} expects a {kind}-form table")
     if coeffs.subset == 0:
         raise EmptySubset("generalized-value conversion needs a nonempty S")
-    return coeffs.n, coeffs.subset, _comp_masks(coeffs.subset, coeffs.n)
+    return (coeffs.n, coeffs.subset, *split_submasks(coeffs.subset, coeffs.n))
 
 
 def gv_p_to_q(coeffs: GeneralizedValueCoefficients) -> GeneralizedValueCoefficients:
     """Convert p-form to q-form: q_R^S = sum_{T : R-S subseteq T subseteq N-S} p_T^S."""
-    n, S, comp = _conversion_input(coeffs, "p", "gv_p_to_q")
-    packed = coeffs.table[comp]
+    n, S, D, R = _conversion_input(coeffs, "p", "gv_p_to_q")
+    packed = coeffs.table[D]
     # superset sums over the complement lattice
     axis_map_inplace(packed, [(1.0, 1.0, 0.0, 1.0)] * (n - S.bit_count()))
     table = np.zeros(1 << n)
-    table[comp[:, None] | submasks(S)[None, 1:]] = packed[:, None]  # row D: every R with R-S = D
+    table[D[:, None] | R[1:]] = packed[:, None]  # row D: D | R for every R != 0
     return GeneralizedValueCoefficients(n, S, "q", table)
 
 
@@ -314,19 +305,19 @@ def gv_q_to_p(
     The q-form must depend only on R - S; a spread above ``tol`` within a
     class raises :class:`InvalidCoefficients` for the first such class.
     """
-    n, S, comp = _conversion_input(coeffs, "q", "gv_q_to_p")
-    grid = coeffs.table[comp[:, None] | submasks(S)[None, 1:]]  # row D: every R with R-S = D
+    n, S, D, R = _conversion_input(coeffs, "q", "gv_q_to_p")
+    grid = coeffs.table[D[:, None] | R[1:]]  # row D: D | R for every R != 0
     spread = grid.max(axis=1) - grid.min(axis=1)
     k = int(np.argmax(spread > tol))
     if spread[k] > tol:
         raise InvalidCoefficients(
-            f"q values for R-S={int(comp[k]):#b} spread by {spread[k]:.3e} > {tol}"
+            f"q values for R-S={int(D[k]):#b} spread by {spread[k]:.3e} > {tol}"
         )
     rep = grid[:, -1].copy()  # q at R = D u S
     # superset Mobius inversion over the complement lattice
     axis_map_inplace(rep, [(1.0, -1.0, 0.0, 1.0)] * (n - S.bit_count()))
     table = np.zeros(1 << n)
-    table[comp] = rep
+    table[D] = rep
     return GeneralizedValueCoefficients(n, S, "p", table)
 
 
@@ -465,8 +456,6 @@ class IndexReport:
     a constant f.  The arrays are read-only.
     """
 
-    game_id: str
-    profile: ProbabilityProfile
     subsets: np.ndarray
     interaction: np.ndarray
     influence: np.ndarray
@@ -502,10 +491,7 @@ def _mask_array(subsets: Union[Sequence[Coalition], np.ndarray], n: int) -> np.n
 
 
 def index_report(
-    f: PseudoBooleanFunction,
-    profile: ProbabilityProfile,
-    subsets: Sequence[Coalition],
-    game_id: str = "game",
+    f: PseudoBooleanFunction, profile: ProbabilityProfile, subsets: Sequence[Coalition]
 ) -> IndexReport:
     """Compute interaction, influence, Shapley value and correlation per subset.
 
@@ -573,9 +559,7 @@ def index_report(
         centered = PseudoBooleanFunction(f.n, centered)
         picks = masks.tolist()
         interaction = np.array([banzhaf_interaction(f, S, profile) for S in picks])
-        influence = np.array(
-            [banzhaf_influence(centered, S, profile, method="inner-product") for S in picks]
-        )
+        influence = np.array([banzhaf_influence(centered, S, profile, "inner-product") for S in picks])
         shapley = np.array([shapley_generalized_value(f, S) for S in picks])
         sigma_g = np.array([g_std(S, profile) if S else math.nan for S in picks])
     finite = np.isfinite(interaction) & np.isfinite(influence) & np.isfinite(shapley)
@@ -592,4 +576,4 @@ def index_report(
         correlation[nonempty] = _correlations(
             influence[nonempty] * scale, sigma_f, sigma_g[nonempty]
         )
-    return IndexReport(game_id, profile, masks, interaction, influence, shapley, correlation)
+    return IndexReport(masks, interaction, influence, shapley, correlation)

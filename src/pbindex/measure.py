@@ -155,6 +155,15 @@ def _fsum(terms: np.ndarray) -> float:
     )
 
 
+def _fsum_split(terms: np.ndarray, D: np.ndarray, R: np.ndarray) -> float:
+    # _fsum of terms[d, r] in ascending order of D[d] | R[r]: the order changes only an
+    # intermediate overflow of math.fsum, so the terms are sorted only where one can occur
+    terms = terms.ravel()
+    if not float(max(terms.max(initial=0.0), -terms.min(initial=0.0))) * terms.size < _FSUM_SAFE:
+        terms = terms[np.argsort(D[:, None] | R, axis=None)]
+    return _fsum(terms)
+
+
 def coalition_weight(profile: ProbabilityProfile, T: Coalition) -> float:
     """w(T) = prod_{i in T} p_i * prod_{i not in T} (1 - p_i)."""
     check_mask(T, profile.n)

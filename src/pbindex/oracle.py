@@ -35,6 +35,7 @@ from .core import (
     mobius,
     s_difference,
     sigma_s,
+    split_submasks,
     submasks,
     subset_products,
     zeta,
@@ -44,7 +45,7 @@ from .indices import banzhaf_influence
 from .measure import (
     ProbabilityProfile,
     _check_same_n,
-    _fsum,
+    _fsum_split,
     _scale_exponent,
     basis_function,
     inner_product,
@@ -145,9 +146,10 @@ def _make_estimate(draws: np.ndarray, samples: int, seed: int) -> SampleEstimate
     lo, hi = draws.min(), draws.max()
     if lo == hi:  # identical observations: the mean is exact and the spread is zero
         return SampleEstimate(float(lo), 0.0, samples, seed)
-    e = _scale_exponent(draws)  # the spread of draws / 2**e: no square overflows
-    spread = float(np.std(np.ldexp(draws, -e), ddof=1) / math.sqrt(samples))
-    return SampleEstimate(float(draws.mean()), math.ldexp(spread, e), samples, seed)
+    e = _scale_exponent(draws)  # mean and spread of draws / 2**e: no sum or square overflows
+    scaled = np.ldexp(draws, -e)
+    spread = float(np.std(scaled, ddof=1) / math.sqrt(samples))
+    return SampleEstimate(math.ldexp(float(scaled.mean()), e), math.ldexp(spread, e), samples, seed)
 
 
 TRANSFORMS = ("identity", "sigma", "delta")
@@ -217,11 +219,9 @@ def cube_average(f: PseudoBooleanFunction, S: Coalition) -> float:
     uniform profile.
     """
     check_mask(S, f.n)
-    a = mobius(f)
-    masks = np.arange(1 << f.n)
-    sel = (masks & S) != 0
-    outside = np.bitwise_count((masks & ~S)[sel].astype(np.uint32))
-    return _fsum(a.coeffs[sel] * 0.5 ** outside.astype(np.float64))
+    D, R = split_submasks(S, f.n)
+    halves = 0.5 ** np.bitwise_count(D).astype(np.float64)
+    return _fsum_split(mobius(f).coeffs.take(D[:, None] | R[1:]) * halves[:, None], D, R[1:])
 
 
 # entries per product table in _eval_extension_batch (8 MB).  2**18 ran the

@@ -584,8 +584,7 @@ class TestStructuralIdentities:
 
 class TestIndexReport:
     def test_report_contents(self):
-        report = index_report(OR, UNIFORM2, [0, 0b01, 0b10, 0b11], game_id="or")
-        assert report.game_id == "or"
+        report = index_report(OR, UNIFORM2, [0, 0b01, 0b10, 0b11])
         assert report.influence[0] == 0.0
         assert np.isnan(report.correlation[0])
         assert report.influence[1] == pytest.approx(0.5, abs=1e-12)

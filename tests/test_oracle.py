@@ -174,6 +174,17 @@ class TestMcExpectation:
         est = mc_expectation(f, "delta", S, p, 100_000, seed=3)
         assert abs(est.mean - banzhaf_interaction(f, S, p)) <= 3 * est.std_error
 
+    def test_mean_of_worths_near_the_float_range_stays_finite(self):
+        # the mean is taken at the power-of-two scale of the spread, so its sum cannot overflow
+        rng = np.random.default_rng(31)
+        f = PseudoBooleanFunction(6, rng.uniform(0.0, 1.0, 64) * 1e306)
+        p = ProbabilityProfile.uniform(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = mc_expectation(f, "identity", 0, p, 10000, seed=1)
+        assert math.isfinite(est.mean)
+        assert abs(est.mean - expectation(p, f)) <= 5 * est.std_error
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             mc_expectation(OR, "identity", 0, UNIFORM2, 10, seed=0)
@@ -222,13 +233,16 @@ class TestCubeAverage:
         assert cube_average(f, 0b101) == 0.0
 
     def test_equals_uniform_influence(self):
+        # the average and inner-product routes share no arithmetic with the cube average
         rng = np.random.default_rng(92)
         for _ in range(10):
             n = int(rng.integers(2, 9))
             f = random_game(rng, n)
             S = int(rng.integers(0, 1 << n))
             uniform = ProbabilityProfile.uniform(n)
-            assert abs(cube_average(f, S) - banzhaf_influence(f, S, uniform)) <= 1e-12
+            for method in ("mobius", "average", "inner-product"):
+                influence = banzhaf_influence(f, S, uniform, method=method)
+                assert abs(cube_average(f, S) - influence) <= 1e-12
 
 
 class TestCdfIntegral:

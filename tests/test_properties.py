@@ -1,8 +1,9 @@
 """Property tests: the whole-lattice index tables against the per-subset routes,
 the four influence routes against each other, the inner-product route
 against the dense inner product, the projections against
-the dense basis, and the Monte Carlo oracle's batched multilinear extension
-against the exact-sum evaluation at one point.
+the dense basis, the Monte Carlo oracle's batched multilinear extension
+against the exact-sum evaluation at one point, and the sums over the masks
+meeting S against the whole-lattice selection of those masks.
 
 Games have n <= 9 players and worths in [-100, 100]; profiles range over the
 whole admissible interval [1e-9, 1 - 1e-9].  Values are compared with the
@@ -10,8 +11,11 @@ tolerance 1e-9 * max(1, |ref|) that the benchmark gate and the CLI's 12
 printed digits use, or 1e-9 * max(1, max |f|) where the reference is a
 difference or a coefficient and so may be far smaller than the game.
 The extension property draws Mobius tables with n <= 10 and coefficients in
-[-1e4, 1e4] and compares within 1e-12 * max(1, sum |a|).
+[-1e4, 1e4] and compares within 1e-12 * max(1, sum |a|).  The meeting-S sums
+draw n <= 11 and worths up to 1e308 and must match bit for bit.
 """
+
+import math
 
 from unittest import mock
 
@@ -42,6 +46,7 @@ from pbindex import (
     subsets_of,
 )
 from pbindex import indices, oracle
+from pbindex.core import mobius, subset_products
 from pbindex.measure import INTERIOR_EPS
 
 REL_TOL = 1e-9
@@ -199,3 +204,66 @@ def test_batched_extension_matches_the_pointwise_sum(data, n):
     got = oracle._eval_extension_batch(a, points)
     want = [eval_multilinear_extension(a, x) for x in points]
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.sum(np.abs(a.coeffs))))
+
+
+def _outcome(call):
+    # the value's bits (signed zeros count) or the exception's type
+    try:
+        return float.hex(call())
+    except Exception as exc:  # the type is what is compared
+        return type(exc).__name__
+
+
+def _lattice_sum(name, f, S, p):
+    """The selection these sums used before the lattice split: every mask of the
+    lattice that meets S, in ascending order, summed by math.fsum."""
+    a = mobius(f).coeffs
+    masks = np.arange(1 << f.n)
+    sel = (masks & S) != 0
+    outside = np.bitwise_count((masks & ~S)[sel].astype(np.uint32)).astype(np.float64)
+    if name == "mobius":
+        prods = subset_products([1.0 if S >> i & 1 else p.p[i] for i in range(f.n)])
+        terms = a[sel] * prods[sel]
+    elif name == "shapley":
+        terms = a[sel] / (outside + 1.0)
+    else:
+        terms = a[sel] * 0.5**outside
+    return math.fsum(terms.tolist())
+
+
+SPLIT_SUMS = {
+    "mobius": lambda f, S, p: banzhaf_influence(f, S, p, method="mobius"),
+    "shapley": lambda f, S, p: shapley_generalized_value(f, S),
+    "cube": lambda f, S, p: oracle.cube_average(f, S),
+}
+
+
+@SETTINGS
+@given(data=st.data(), n=st.integers(1, 11), seed=st.integers(0, 2**32 - 1))
+def test_meeting_sums_equal_the_whole_lattice_selection(data, n, seed):
+    rng = np.random.default_rng(seed)
+    scale = data.draw(st.sampled_from([1e-300, 1.0, 1e6, 1e300, 1e306]))
+    f = PseudoBooleanFunction(n, rng.uniform(-100.0, 100.0, 1 << n) * scale)
+    edge = st.sampled_from([INTERIOR_EPS, 1.0 - INTERIOR_EPS])
+    probs = st.one_of(edge, st.floats(INTERIOR_EPS, 1.0 - INTERIOR_EPS))
+    p = ProbabilityProfile(data.draw(arrays(np.float64, n, elements=probs)))
+    S = data.draw(st.one_of(st.just(0), st.just((1 << n) - 1), _masks(n)))
+    for name, call in SPLIT_SUMS.items():
+        assert _outcome(lambda: call(f, S, p)) == _outcome(lambda: _lattice_sum(name, f, S, p))
+
+
+def test_meeting_sums_take_the_ascending_order_where_it_matters():
+    # near the float range math.fsum's intermediate overflow depends on the
+    # order of the terms: listed row by row (D, then R) these overflow, while
+    # in ascending mask order, as the lattice selection lists them, they sum
+    f = PseudoBooleanFunction(3, [
+        7.769797738230004e307, 2.6298303452323337e307, -2.8727090724685714e307,
+        5.656488011398597e306, -5.469992086352729e307, 5.550882477634107e307,
+        -6.59842996770267e307, 1.5439589797318142e307,
+    ])
+    S = 0b101
+    D, R = np.array([0, 2]), np.array([1, 4, 5])
+    halves = 0.5 ** np.bitwise_count(D).astype(np.float64)
+    with pytest.raises(OverflowError):
+        math.fsum((mobius(f).coeffs[D[:, None] | R] * halves[:, None]).ravel().tolist())
+    assert oracle.cube_average(f, S) == _lattice_sum("cube", f, S, ProbabilityProfile.uniform(3))
