@@ -34,6 +34,7 @@ from .errors import (
     ParseError,
     PbindexError,
     SingularSystem,
+    SumOverflow,
     ValidationError,
 )
 from .indices import (
@@ -57,7 +58,6 @@ from .indices import (
 from .measure import (
     ProbabilityProfile,
     basis_function,
-    coalition_weight,
     covariance,
     expectation,
     inner_product,
@@ -70,7 +70,6 @@ from .oracle import (
     diagonal_quadrature,
     lsq_normal_equations,
     mc_expectation,
-    sample_coalition,
     sample_coalitions,
 )
 

@@ -123,7 +123,7 @@ def subset_products(x: Sequence[float]) -> np.ndarray:
 
 def _as_table(values, n: int, what: str) -> np.ndarray:
     try:
-        arr = np.asarray(values, dtype=np.float64).copy()
+        arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} needs numeric entries: {exc}") from exc
     if arr.shape != (1 << n,):
@@ -173,17 +173,14 @@ class MobiusRepresentation:
 # transforms
 # ---------------------------------------------------------------------------
 
-def _zeta_inplace(v: np.ndarray, n: int) -> None:
-    # butterfly schedule: axis i pairs masks differing in bit i
-    for i in range(n):
-        pairs = v.reshape(-1, 2, 1 << i)
-        pairs[:, 1, :] += pairs[:, 0, :]
-
-
-def _mobius_inplace(v: np.ndarray, n: int) -> None:
-    for i in range(n):
-        pairs = v.reshape(-1, 2, 1 << i)
-        pairs[:, 1, :] -= pairs[:, 0, :]
+def _butterfly_inplace(v: np.ndarray, n: int, op: np.ufunc) -> None:
+    # axis i pairs masks differing in bit i, and v1 becomes op(v1, v0).  Near the
+    # float range this may overflow: the finiteness check of the frozen result
+    # then raises ValidationError, so numpy's warning is silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            pairs = v.reshape(-1, 2, 1 << i)
+            op(pairs[:, 1, :], pairs[:, 0, :], out=pairs[:, 1, :])
 
 
 def axis_map_inplace(
@@ -220,7 +217,7 @@ def mobius(f: PseudoBooleanFunction) -> MobiusRepresentation:
     """
     if f._mobius_cache is None:
         work = f.values.copy()
-        _mobius_inplace(work, f.n)
+        _butterfly_inplace(work, f.n, np.subtract)
         f._mobius_cache = MobiusRepresentation(f.n, work)
     return f._mobius_cache
 
@@ -228,7 +225,7 @@ def mobius(f: PseudoBooleanFunction) -> MobiusRepresentation:
 def zeta(a: MobiusRepresentation) -> PseudoBooleanFunction:
     """Inverse of :func:`mobius`: f(S) = sum_{T subseteq S} a(T)."""
     work = a.coeffs.copy()
-    _zeta_inplace(work, a.n)
+    _butterfly_inplace(work, a.n, np.add)
     return PseudoBooleanFunction(a.n, work)
 
 

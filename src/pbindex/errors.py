@@ -9,6 +9,10 @@ class ValidationError(PbindexError, ValueError):
     """Input data violates a structural contract (size, range, finiteness)."""
 
 
+class SumOverflow(ValidationError, OverflowError):
+    """An exact sum of finite terms, or one of its partial sums, lies past the float range."""
+
+
 class DomainError(PbindexError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 

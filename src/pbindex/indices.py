@@ -66,6 +66,9 @@ INFLUENCE_METHODS = ("mobius", "projection", "average", "inner-product")
 # sigma(f) at or below this is treated as a constant function
 DEGENERACY_EPS = 1e-12
 
+# largest spread of a q-form's values within a class R - S that gv_q_to_p accepts
+Q_FORM_TOL = 1e-12
+
 
 def _comp_weights(S: Coalition, profile: ProbabilityProfile) -> np.ndarray:
     """Pr(C - S = D) = prod_{i in D} p_i prod_{i in N-S-D} (1-p_i), D as in ``split_submasks``."""
@@ -193,7 +196,7 @@ def influence_interaction_expansion(
     p = [pi for i, pi in enumerate(profile.p.tolist()) if S >> i & 1]
     weights = product_table([(1.0, 1.0 - pi) for pi in p]) - product_table([(1.0, -pi) for pi in p])
     interactions = np.array([banzhaf_interaction(f, T, profile) for T in submasks(S).tolist()])
-    return math.fsum((interactions * weights).tolist())
+    return _fsum(interactions * weights)
 
 
 def shapley_generalized_value(f: PseudoBooleanFunction, S: Coalition) -> float:
@@ -297,21 +300,19 @@ def gv_p_to_q(coeffs: GeneralizedValueCoefficients) -> GeneralizedValueCoefficie
     return GeneralizedValueCoefficients(n, S, "q", table)
 
 
-def gv_q_to_p(
-    coeffs: GeneralizedValueCoefficients, tol: float = 1e-12
-) -> GeneralizedValueCoefficients:
+def gv_q_to_p(coeffs: GeneralizedValueCoefficients) -> GeneralizedValueCoefficients:
     """Convert q-form back: p_T^S = sum_{R : T subseteq R subseteq N-S} (-1)^(|R|-|T|) q_{R u S}^S.
 
-    The q-form must depend only on R - S; a spread above ``tol`` within a
-    class raises :class:`InvalidCoefficients` for the first such class.
+    The q-form must depend only on R - S; a spread above ``Q_FORM_TOL``
+    within a class raises :class:`InvalidCoefficients` for the first such class.
     """
     n, S, D, R = _conversion_input(coeffs, "q", "gv_q_to_p")
     grid = coeffs.table[D[:, None] | R[1:]]  # row D: D | R for every R != 0
     spread = grid.max(axis=1) - grid.min(axis=1)
-    k = int(np.argmax(spread > tol))
-    if spread[k] > tol:
+    k = int(np.argmax(spread > Q_FORM_TOL))
+    if spread[k] > Q_FORM_TOL:
         raise InvalidCoefficients(
-            f"q values for R-S={int(D[k]):#b} spread by {spread[k]:.3e} > {tol}"
+            f"q values for R-S={int(D[k]):#b} spread by {spread[k]:.3e} > {Q_FORM_TOL}"
         )
     rep = grid[:, -1].copy()  # q at R = D u S
     # superset Mobius inversion over the complement lattice
@@ -470,21 +471,12 @@ class IndexReport:
 def _mask_array(subsets: Union[Sequence[Coalition], np.ndarray], n: int) -> np.ndarray:
     """The masks as a new int64 array, each checked as by :func:`check_mask`.
 
-    An integer ndarray, or a sequence of in-range ints and numpy integers (not
-    bools), passes in one vectorized check; any other input goes mask by mask,
-    so the error names the first bad one.
+    An in-range integer ndarray passes in one vectorized check; any other
+    input goes mask by mask, so the error names the first bad one.
     """
     if isinstance(subsets, np.ndarray) and subsets.ndim == 1 and subsets.dtype.kind in "iu":
         if subsets.size == 0 or (subsets.min() >= 0 and subsets.max() < 1 << n):
             return subsets.astype(np.int64)  # a copy: the report freezes it
-    elif all(t is int or issubclass(t, np.integer) for t in set(map(type, subsets))):
-        try:
-            masks = np.array(subsets, dtype=np.int64)  # a copy: the report freezes it
-        except OverflowError:
-            pass
-        else:
-            if masks.size == 0 or (masks.min() >= 0 and masks.max() < 1 << n):
-                return masks
     for S in subsets:
         check_mask(S, n)
     return np.array(subsets, dtype=np.int64)
@@ -506,9 +498,7 @@ def index_report(
       profile with ceil(n/2)+2 nodes, the Shapley value for all 2**n subsets
       at once: O(n**2 2**n) numpy work, independent of the subset count.
       The columns are gathered from the tables, with no per-subset Python
-      objects.  A fresh ``analyze --subsets all`` process takes about 0.15 s
-      and 43 MB peak RSS at n=14, and 0.3 s and 49 MB at n=16 (CSV or
-      text, 2-vCPU Xeon guest).
+      objects.
     * otherwise: the per-subset functions (:func:`banzhaf_interaction`,
       :func:`banzhaf_influence` by the inner product with g_{S,p},
       :func:`shapley_generalized_value`), each O(2**n) with Python-level
@@ -523,15 +513,6 @@ def index_report(
     default Mobius route cancels there: on games c + a h with c up to 1e6,
     a down to 1e-6 and p_i near 0 or 1 it put r off by up to 2e-2 (random
     sweep, n <= 9).
-
-    Measured crossover (2-vCPU Xeon guest, numpy 2.4, uniform random game,
-    best of 3 to 5): the tables take 2.5 ms at n=11, 13 ms at n=14, 0.14 s
-    at n=17 and 1.65 s at n=20, as much as 17-31, 23-80, 37-72 and 40-125
-    per-subset calls.  A call costs most at |S| = 1 (the low ends) and less
-    at |S| near n/2 (the high ends).  The cut at n lies below that
-    break-even range at every measured n, so up to the break-even count the
-    tables run where the calls would be cheaper.  The cut stays at n: moving
-    it would change which route, and so which last bits, such a report gets.
     """
     _check_same_n(profile, f)
     masks = _mask_array(subsets, f.n)

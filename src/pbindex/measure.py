@@ -29,7 +29,7 @@ from .core import (
     mobius,
     product_table,
 )
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, SumOverflow, ValidationError
 
 # Profiles must stay strictly interior: the basis divides by sqrt(p(1-p)).
 INTERIOR_EPS = 1e-9
@@ -139,20 +139,26 @@ def _fsum(terms: np.ndarray) -> float:
     #   no partial sum can overflow whatever the order.  Otherwise, and for
     #   inf or nan, every term reaches math.fsum in order, so non-finite
     #   results and its "intermediate overflow" error are those of the list;
+    #   that error is raised as SumOverflow, still an OverflowError;
     # * at most FSUM_CHUNK terms are Python floats at a time.
     # 2**20 terms of a weighted table take about 5 ms instead of 50 ms
     # (2-vCPU Xeon guest, best of 5); below about 700 terms extracting costs
     # more than it saves.
     if terms.size <= FSUM_SMALL:
-        return math.fsum(terms.tolist())
-    split = _extract
-    if not float(max(terms.max(), -terms.min())) * terms.size < _FSUM_SAFE:
-        split = np.ndarray.tolist
-    return math.fsum(
-        itertools.chain.from_iterable(
+        parts = terms.tolist()
+    else:
+        split = _extract
+        if not float(max(terms.max(), -terms.min())) * terms.size < _FSUM_SAFE:
+            split = np.ndarray.tolist
+        parts = itertools.chain.from_iterable(
             split(terms[k : k + FSUM_CHUNK]) for k in range(0, terms.size, FSUM_CHUNK)
         )
-    )
+    try:
+        return math.fsum(parts)
+    except OverflowError:
+        raise SumOverflow(
+            f"an exact sum of {terms.size} terms passes the float range (the worths overflow)"
+        ) from None
 
 
 def _fsum_split(terms: np.ndarray, D: np.ndarray, R: np.ndarray) -> float:
@@ -162,12 +168,6 @@ def _fsum_split(terms: np.ndarray, D: np.ndarray, R: np.ndarray) -> float:
     if not float(max(terms.max(initial=0.0), -terms.min(initial=0.0))) * terms.size < _FSUM_SAFE:
         terms = terms[np.argsort(D[:, None] | R, axis=None)]
     return _fsum(terms)
-
-
-def coalition_weight(profile: ProbabilityProfile, T: Coalition) -> float:
-    """w(T) = prod_{i in T} p_i * prod_{i not in T} (1 - p_i)."""
-    check_mask(T, profile.n)
-    return math.prod(pi if T >> i & 1 else 1.0 - pi for i, pi in enumerate(profile.p))
 
 
 def _scale_exponent(d: np.ndarray) -> int:

@@ -45,6 +45,7 @@ from .indices import banzhaf_influence
 from .measure import (
     ProbabilityProfile,
     _check_same_n,
+    _fsum,
     _fsum_split,
     _scale_exponent,
     basis_function,
@@ -116,12 +117,6 @@ def lsq_normal_equations(
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample_coalition(profile: ProbabilityProfile, rng: np.random.Generator) -> Coalition:
-    """Draw one random coalition: player i joins independently with prob p_i."""
-    joined = rng.random(profile.n) < profile.p
-    return sum(1 << i for i in np.flatnonzero(joined).tolist())
-
-
 # rows of uniforms or beta variates drawn at a time.  Chunked draws consume
 # the PCG64 stream exactly as one draw of all rows does, so every estimate is
 # the same; the temporaries stay the same size whatever the sample count, and
@@ -133,7 +128,8 @@ SAMPLE_CHUNK = 1 << 13
 def sample_coalitions(
     profile: ProbabilityProfile, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Vectorized batch of :func:`sample_coalition` draws."""
+    """``size`` random coalitions as int64 masks, player i joining each with probability
+    p_i: i is in coalition k iff entry (k, i) of ``rng.random((size, n))`` is below p_i."""
     powers = 1 << np.arange(profile.n, dtype=np.int64)
     out = np.empty(size, dtype=np.int64)
     for start in range(0, size, SAMPLE_CHUNK):
@@ -189,26 +185,17 @@ def mc_expectation(
 # integral checks
 # ---------------------------------------------------------------------------
 
-def diagonal_quadrature(
-    f: PseudoBooleanFunction, S: Coalition, nodes: int | None = None
-) -> float:
+def diagonal_quadrature(f: PseudoBooleanFunction, S: Coalition) -> float:
     """Gauss-Legendre value of the integral over p of Phi_{B,(p,...,p)}(f,S).
 
     The integrand is a polynomial of degree at most n, so any node count of
-    at least ceil((n+1)/2) is exact up to rounding; the default n+2 keeps a
-    comfortable margin.  Matches the Shapley generalized value.
+    at least ceil((n+1)/2) is exact up to rounding; the n+2 nodes used keep
+    a comfortable margin.  Matches the Shapley generalized value.
     """
     check_mask(S, f.n)
-    if nodes is None:
-        nodes = f.n + 2
-    if nodes < f.n + 1:
-        raise ValidationError(f"need at least n+1 = {f.n + 1} nodes, got {nodes}")
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    terms = [
-        0.5 * wj * banzhaf_influence(f, S, ProbabilityProfile.constant(f.n, 0.5 * (xj + 1.0)))
-        for xj, wj in zip(x, w)
-    ]
-    return math.fsum(terms)
+    x, w = np.polynomial.legendre.leggauss(f.n + 2)
+    phi = [banzhaf_influence(f, S, ProbabilityProfile.constant(f.n, 0.5 * (t + 1.0))) for t in x]
+    return _fsum(0.5 * w * np.array(phi))
 
 
 def cube_average(f: PseudoBooleanFunction, S: Coalition) -> float:

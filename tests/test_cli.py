@@ -500,6 +500,21 @@ class TestVerify:
         assert [line.split()[0] for line in lines[:-1]] == ["PASS"] * 5
         assert lines[-1] == "all checks passed"
 
+    @pytest.mark.parametrize("seed", [[], ["--seed", "1"], ["--seed", "7"]])
+    def test_exact_sum_past_the_float_range_fails_validation(self, tmp_path, capsys, seed):
+        # worths near the float range: partial sums of the checks pass it
+        values = [
+            7.769797738230004e307, 2.6298303452323337e307, -2.8727090724685714e307,
+            5.656488011398597e306, -5.469992086352729e307, 5.550882477634107e307,
+            -6.59842996770267e307, 1.5439589797318142e307,
+        ]
+        path = write_game(tmp_path, {"version": 1, "n": 3, "values": values})
+        assert main(["verify", path, *seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: an exact sum of")
+
     def test_nonuniform_profile(self, tmp_path, capsys):
         rc = main(["verify", write_game(tmp_path, OR_DOC), "--p", "0.3,0.8", "--trials", "4"])
         assert rc == 0

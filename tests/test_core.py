@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,12 @@ class TestMobius:
         f = random_game(np.random.default_rng(0), 4)
         assert mobius(f) is mobius(f)
 
+    def test_overflow_fails_validation_without_a_warning(self):
+        f = PseudoBooleanFunction(2, [1.7e308, -1.7e308, 1.7e308, -1.7e308])
+        with warnings.catch_warnings(), pytest.raises(ValidationError, match="Mobius table contains non-finite"):
+            warnings.simplefilter("error")
+            mobius(f)
+
 
 class TestZeta:
     def test_unanimity_coefficient(self):
@@ -72,6 +79,12 @@ class TestZeta:
         rng = np.random.default_rng(12)
         a = MobiusRepresentation(5, rng.uniform(-1, 1, 32))
         assert np.allclose(zeta(a).values, brute_zeta(a.coeffs, 5), atol=1e-12)
+
+    def test_overflow_fails_validation_without_a_warning(self):
+        a = MobiusRepresentation(2, np.full(4, 1.7e308))
+        with warnings.catch_warnings(), pytest.raises(ValidationError, match="game table contains non-finite"):
+            warnings.simplefilter("error")
+            zeta(a)
 
 
 class TestRoundtrips:

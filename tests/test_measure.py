@@ -11,10 +11,10 @@ from pbindex import (
     DimensionError,
     PseudoBooleanFunction,
     ProbabilityProfile,
+    SumOverflow,
     ValidationError,
     basis_function,
     best_s_approximation,
-    coalition_weight,
     covariance,
     expectation,
     g_function,
@@ -68,11 +68,11 @@ class TestCoalitionWeight:
     def test_uniform_profile_is_flat(self):
         p = ProbabilityProfile.uniform(4)
         for T in range(16):
-            assert coalition_weight(p, T) == 0.5**4
+            assert p.weights()[T] == 0.5**4
 
     def test_two_player_product(self):
         p = ProbabilityProfile([0.3, 0.8])
-        assert coalition_weight(p, 0b01) == pytest.approx(0.3 * 0.2, abs=1e-15)
+        assert p.weights()[0b01] == pytest.approx(0.3 * 0.2, abs=1e-15)
 
     def test_weights_sum_to_one(self):
         p = random_profile(np.random.default_rng(1), 10)
@@ -84,8 +84,7 @@ class TestCoalitionWeight:
         p = random_profile(np.random.default_rng(2), 6)
         w = p.weights()
         for T in range(64):
-            assert coalition_weight(p, T) == w[T]
-            assert coalition_weight(p, T) == pytest.approx(brute_weight(p.p, T, 6), abs=1e-15)
+            assert w[T] == pytest.approx(brute_weight(p.p, T, 6), abs=1e-15)
 
 
 class TestInnerProduct:
@@ -273,6 +272,12 @@ class TestChunkedFsum:
         assert_same_sum(np.resize([math.inf, -math.inf], FSUM_CHUNK + 2))  # inf - inf
         assert_same_sum(np.full(FSUM_SMALL + 1, -0.0))
         assert_same_sum(np.zeros(2 * FSUM_CHUNK))
+
+    @pytest.mark.parametrize("size", [3, FSUM_SMALL + 1, 2 * FSUM_CHUNK + 1])
+    def test_overflow_is_a_typed_validation_error(self, size):
+        with pytest.raises(SumOverflow, match=f"exact sum of {size} terms passes the float range"):
+            _fsum(np.full(size, 1e308))
+        assert issubclass(SumOverflow, ValidationError) and issubclass(SumOverflow, OverflowError)
 
     def test_cancellation_across_a_chunk_boundary(self):
         terms = np.zeros(FSUM_CHUNK + 2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pbindex import (
+    PseudoBooleanFunction,
     banzhaf_influence,
     best_k_approximation,
     best_s_approximation,
@@ -67,3 +68,15 @@ def test_per_subset_sums_peak_within_three_and_a_half_tables(name):
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * TABLE_BYTES, f"{name} peaked at {peak / TABLE_BYTES:.1f} tables"
+
+
+def test_a_game_parsed_from_a_list_holds_one_table():
+    values = np.random.default_rng(16).random(1 << N).tolist()
+    tracemalloc.start()
+    try:
+        f = PseudoBooleanFunction(N, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.values.tolist() == values
+    assert peak <= 1.5 * TABLE_BYTES, f"the table build peaked at {peak / TABLE_BYTES:.1f} tables"

@@ -210,6 +210,8 @@ def _outcome(call):
     # the value's bits (signed zeros count) or the exception's type
     try:
         return float.hex(call())
+    except OverflowError:  # math.fsum's own, or the package's SumOverflow
+        return "OverflowError"
     except Exception as exc:  # the type is what is compared
         return type(exc).__name__
 
