@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, SumOverflow, ValidationError
 
 # Dense 2**n float64 tables stay under ~135 MB at this cap.
 MAX_PLAYERS = 24
@@ -241,7 +241,12 @@ def eval_multilinear_extension(a: MobiusRepresentation, x) -> float:
     if np.any(pt < 0.0) or np.any(pt > 1.0):
         raise DomainError(f"point {pt.tolist()} outside the unit cube")
     prods = subset_products(pt)
-    return math.fsum((a.coeffs * prods).tolist())
+    try:
+        return math.fsum((a.coeffs * prods).tolist())
+    except OverflowError:
+        raise SumOverflow(
+            f"the extension's exact sum of {prods.size} terms passes the float range"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

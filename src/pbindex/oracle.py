@@ -9,12 +9,16 @@ meaningful evidence:
   basis.
 * Monte Carlo estimators draw random coalitions (seeded PCG64 streams) and
   report a standard error with every mean.
-* :func:`cdf_integral_check` evaluates the multilinear extension at its
-  sample points by splitting every mask into a low and a high half:
+* :func:`cdf_integral_check` evaluates the multilinear extension of
+  sigma_S f, which depends only on the m = n - |S| players outside S, on the
+  2**m table of its worths at the masks with no bit of S.  At each sample
+  point it splits every mask into a low and a high half:
   fbar(x) = P_high(x)^T A P_low(x), with A the Mobius table as a matrix and
   P the subset products of x over each half.  It shares no code with the
-  butterflies of the production routes; its row-wise subset products
-  (``_point_products``) deliberately do not use ``core.product_table``.
+  butterflies of the production routes: it gathers the masks outside S with
+  a scan of the lattice, not ``core.split_submasks``, and its row-wise
+  subset products (``_point_products``) deliberately do not use
+  ``core.product_table``.
 * :func:`diagonal_quadrature` and :func:`cube_average` integrate the
   influence index over probability space numerically and in closed form.
 """
@@ -211,10 +215,13 @@ def cube_average(f: PseudoBooleanFunction, S: Coalition) -> float:
     return _fsum_split(mobius(f).coeffs.take(D[:, None] | R[1:]) * halves[:, None], D, R[1:])
 
 
-# entries per product table in _eval_extension_batch (8 MB).  2**18 ran the
-# extension 10-15% faster at n = 14 and 16, but freeing only 2 MB blocks keeps
-# glibc's dynamic mmap threshold low, so the next multi-MB arrays are mapped and
-# faulted in afresh: mc_expectation at 10**5 samples, n=6, went from 5.7 to 9 ms.
+# entries per product table in _eval_extension_batch (8 MB).  The tables of
+# cdf_integral_check hold rows * 2**(m - m//2) entries for the m players
+# outside S, so this bounds the rows from m = 15 on and SAMPLE_CHUNK does
+# below.  At m = 14 to 16, 2**18 timed the same as 2**20 within the host's
+# noise, both for the extension (94-105 ms against 82-130 ms at m = 14, 10**4
+# samples) and for an mc_expectation at 10**5 samples, n = 6, run after it
+# (4-8 ms either way).
 EXTENSION_CHUNK = 1 << 20
 
 
@@ -245,6 +252,23 @@ def _eval_extension_batch(a: MobiusRepresentation, points: np.ndarray) -> np.nda
     return np.einsum("ph,ph->p", _point_products(points[:, low:]), partial)
 
 
+def _switch_mobius(f: PseudoBooleanFunction, S: Coalition) -> np.ndarray:
+    """Mobius table of sigma_S f on the m = n - |S| players outside S, 2**m entries.
+
+    sigma_S f does not depend on the players in S, so its Mobius table on all
+    n players is 0 at every mask meeting S; entry j here is its entry at the
+    j-th mask D with no bit of S, the transform of g(D) = f(D | S) - f(D) on
+    m bits.  At S = N the one entry is f(N) - f(emptyset).
+    """
+    D = np.flatnonzero((np.arange(1 << f.n) & S) == 0)
+    g = f.values[D | S] - f.values[D]
+    if D.size > 1:
+        return mobius(PseudoBooleanFunction(f.n - S.bit_count(), g)).coeffs
+    if not math.isfinite(g[0]):
+        raise ValidationError("f(N) - f(emptyset) lies past the float range")
+    return g
+
+
 CDF_FAMILIES = ("beta", "point")
 
 
@@ -262,6 +286,11 @@ def cdf_integral_check(
     integrates to the influence index.  ``beta`` draws x_i from
     Beta(2 p_i, 2 (1-p_i)); ``point`` is the degenerate point mass at p_i,
     for which every draw hits the same value and the standard error is 0.
+
+    Each point is drawn for all n players, so S does not change the stream,
+    and the extension is evaluated on its m = n - |S| coordinates outside S
+    with the 2**m table of :func:`_switch_mobius`.  At S = N every draw is
+    f(N) - f(emptyset) and no point is drawn.
     """
     _check_same_n(profile, f)
     check_mask(S, f.n)
@@ -269,15 +298,22 @@ def cdf_integral_check(
         raise ValidationError(f"need at least 1000 samples, got {samples}")
     if family not in CDF_FAMILIES:
         raise ValidationError(f"unknown family {family!r}, expected one of {CDF_FAMILIES}")
+    coeffs = _switch_mobius(f, S)
+    m = f.n - S.bit_count()
+    if m == 0:
+        return _make_estimate(np.full(samples, coeffs[0]), samples, seed)
+    a = MobiusRepresentation(m, coeffs)
+    del coeffs
+    outside = [i for i in range(f.n) if not S >> i & 1]
     rng = np.random.default_rng(seed)
-    a = mobius(sigma_s(f, S))
     draws = np.empty(samples)
-    chunk = min(SAMPLE_CHUNK, max(1, EXTENSION_CHUNK >> (f.n - f.n // 2)))
+    chunk = min(SAMPLE_CHUNK, max(1, EXTENSION_CHUNK >> (m - m // 2)))
     for start in range(0, samples, chunk):
-        shape = (min(chunk, samples - start), profile.n)
+        rows = min(chunk, samples - start)
         if family == "beta":
-            points = rng.beta(2.0 * profile.p, 2.0 * (1.0 - profile.p), size=shape)
+            points = rng.beta(2.0 * profile.p, 2.0 * (1.0 - profile.p), size=(rows, f.n))
+            points = points[:, outside]
         else:
-            points = np.broadcast_to(profile.p, shape).copy()
-        draws[start : start + shape[0]] = _eval_extension_batch(a, points)
+            points = np.broadcast_to(profile.p[outside], (rows, m)).copy()
+        draws[start : start + rows] = _eval_extension_batch(a, points)
     return _make_estimate(draws, samples, seed)

@@ -10,6 +10,7 @@ from pbindex import (
     MobiusRepresentation,
     ProbabilityProfile,
     PseudoBooleanFunction,
+    SumOverflow,
     ValidationError,
     basis_function,
     eval_multilinear_extension,
@@ -253,6 +254,11 @@ class TestMultilinearExtension:
             eval_multilinear_extension(a, [-0.1, 0.5])
         with pytest.raises(DomainError):
             eval_multilinear_extension(a, [0.5])
+
+    def test_overflowing_sum_is_a_typed_validation_error(self):
+        a = MobiusRepresentation(2, [1.5e308, 1.5e308, 0, 0])
+        with pytest.raises(SumOverflow, match="exact sum of 4 terms passes the float range"):
+            eval_multilinear_extension(a, [1.0, 1.0])
 
 
 class TestSDifference:

@@ -160,6 +160,12 @@ class TestExpectation:
             assert abs(expectation(p, f) - via_mle) <= 1e-10
             assert multilinear_expectation(p, f) == via_mle
 
+    def test_multilinear_route_overflow_is_typed(self):
+        # worths within range, but the Mobius terms 0.9e308 + 0.9e308 - 0.81e308 overflow midway
+        f = PseudoBooleanFunction(2, [0.0, 1e308, 1e308, 1e308])
+        with pytest.raises(SumOverflow, match="exact sum of 4 terms passes the float range"):
+            multilinear_expectation(ProbabilityProfile.constant(2, 0.9), f)
+
 
 class TestCovariance:
     def test_constant_is_uncorrelated(self):

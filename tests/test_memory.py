@@ -10,6 +10,7 @@ from pbindex import (
     banzhaf_influence,
     best_k_approximation,
     best_s_approximation,
+    cdf_integral_check,
     cube_average,
     gv_p_to_q,
     influence_value_coefficients,
@@ -80,3 +81,18 @@ def test_a_game_parsed_from_a_list_holds_one_table():
         tracemalloc.stop()
     assert f.values.tolist() == values
     assert peak <= 1.5 * TABLE_BYTES, f"the table build peaked at {peak / TABLE_BYTES:.1f} tables"
+
+
+def test_cdf_oracle_evaluates_the_table_outside_s():
+    # sigma_S f's extension runs on the 2**12 masks with no bit of S, so its
+    # product tables hold 2**6 entries per row instead of 2**8
+    rng = np.random.default_rng(16)
+    f = random_game(rng, N)
+    p = random_profile(rng, N)
+    tracemalloc.start()
+    try:
+        cdf_integral_check(f, S4, p, 10_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * TABLE_BYTES, f"the CDF oracle peaked at {peak / TABLE_BYTES:.1f} tables"

@@ -262,16 +262,26 @@ class TestCdfIntegral:
     @pytest.mark.parametrize("n", [1, 6, 12])
     def test_chunked_draws_equal_one_shot_draws(self, n, monkeypatch):
         # beta variates drawn in chunks of rows take the same PCG64 stream as
-        # one draw of every row, so the estimate is bitwise the same; at n = 12
-        # the extension bounds the chunks to 2**8 >> 6 = 4 rows
+        # one draw of every row, so the estimate is bitwise the same.  The
+        # reference keeps the entries of sigma_S f's Mobius table at the masks
+        # with no bit of S and evaluates them on the columns outside S; at
+        # n = 1 no column is left, and at n = 12 (11 columns) the extension
+        # bounds the chunks to 2**8 >> 6 = 4 rows
         monkeypatch.setattr(oracle, "SAMPLE_CHUNK", 7)
         monkeypatch.setattr(oracle, "EXTENSION_CHUNK", 1 << 8)
         rng = np.random.default_rng(95 + n)
         f, p = random_game(rng, n), random_profile(rng, n)
         S = 1
+        masks = np.arange(1 << n)
+        restricted = mobius(sigma_s(f, S)).coeffs[(masks & S) == 0]
+        outside = [i for i in range(n) if not S >> i & 1]
         for samples in (1000, 1001, 1006):
             points = np.random.default_rng(samples).beta(2 * p.p, 2 * (1 - p.p), size=(samples, n))
-            draws = _eval_extension_batch(mobius(sigma_s(f, S)), points)
+            if outside:
+                a = MobiusRepresentation(len(outside), restricted)
+                draws = _eval_extension_batch(a, points[:, outside])
+            else:
+                draws = np.full(samples, restricted[0])
             want = oracle._make_estimate(draws, samples, samples)
             assert cdf_integral_check(f, S, p, samples, seed=samples) == want
 
@@ -284,6 +294,15 @@ class TestCdfIntegral:
         for m in (1, 3, 17, 1025, 4099):
             values = _eval_extension_batch(a, np.broadcast_to(x, (m, n)).copy())
             assert np.all(values == values[0])
+
+    @pytest.mark.parametrize("S", [0b01, 0b11])
+    def test_switch_past_the_float_range_fails_validation(self, S):
+        # f(D | S) - f(D) overflows; at S = N its one value is checked on its own
+        f = PseudoBooleanFunction(2, [-1e308, 1e308, -1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValidationError):
+                cdf_integral_check(f, S, UNIFORM2, 1000, seed=0)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

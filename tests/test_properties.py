@@ -12,7 +12,11 @@ printed digits use, or 1e-9 * max(1, max |f|) where the reference is a
 difference or a coefficient and so may be far smaller than the game.
 The extension property draws Mobius tables with n <= 10 and coefficients in
 [-1e4, 1e4] and compares within 1e-12 * max(1, sum |a|).  The meeting-S sums
-draw n <= 11 and worths up to 1e308 and must match bit for bit.
+draw n <= 11 and worths up to 1e308 and must match bit for bit.  The CDF
+oracle's table of sigma_S f over the players outside S draws n <= 10 and
+worths in [-100, 100] times 10^-6, 1 or 10^6: it must equal the entries of
+the whole-lattice table bit for bit, and its estimate must match the
+whole-lattice evaluation of the same draws within 1e-12 * max(1, sum |a|).
 """
 
 import math
@@ -43,6 +47,7 @@ from pbindex import (
     interaction_table,
     normalized_influence,
     shapley_generalized_value,
+    sigma_s,
     subsets_of,
 )
 from pbindex import indices, oracle
@@ -269,3 +274,32 @@ def test_meeting_sums_take_the_ascending_order_where_it_matters():
     with pytest.raises(OverflowError):
         math.fsum((mobius(f).coeffs[D[:, None] | R] * halves[:, None]).ravel().tolist())
     assert oracle.cube_average(f, S) == _lattice_sum("cube", f, S, ProbabilityProfile.uniform(3))
+
+
+@SETTINGS
+@given(data=st.data(), n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_cdf_oracle_table_is_the_whole_lattice_table_outside_s(data, n, seed):
+    rng = np.random.default_rng(seed)
+    scale = data.draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    f = PseudoBooleanFunction(n, rng.uniform(-100.0, 100.0, 1 << n) * scale)
+    edge = st.sampled_from([INTERIOR_EPS, 1.0 - INTERIOR_EPS])
+    probs = st.one_of(edge, st.floats(INTERIOR_EPS, 1.0 - INTERIOR_EPS))
+    p = ProbabilityProfile(data.draw(arrays(np.float64, n, elements=probs)))
+    one_bit = st.integers(0, n - 1).map(lambda i: 1 << i)
+    S = data.draw(st.one_of(one_bit, _masks(n), st.just((1 << n) - 1)))
+    family = data.draw(st.sampled_from(oracle.CDF_FAMILIES))
+
+    whole = mobius(sigma_s(f, S)).coeffs
+    meets = (np.arange(1 << n) & S) != 0
+    assert not whole[meets].any()
+    assert whole[~meets].tobytes() == oracle._switch_mobius(f, S).tobytes()
+
+    samples = 1000
+    if family == "beta":
+        points = np.random.default_rng(seed).beta(2.0 * p.p, 2.0 * (1.0 - p.p), size=(samples, n))
+    else:
+        points = np.broadcast_to(p.p, (samples, n)).copy()
+    draws = oracle._eval_extension_batch(MobiusRepresentation(n, whole), points)
+    want = oracle._make_estimate(draws, samples, seed).mean
+    got = oracle.cdf_integral_check(f, S, p, samples, seed, family).mean
+    assert abs(got - want) <= 1e-12 * max(1.0, float(np.sum(np.abs(whole))))
