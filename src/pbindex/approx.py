@@ -7,11 +7,11 @@ the v_{T,p} are orthonormal for <.,.>_w, the minimizer is simply
     f_{S,p} = sum_{T subseteq S} <f, v_{T,p}> v_{T,p},
 
 and the best degree-k approximation replaces the index set by {|T| <= k}.
-The basis is a tensor product, so every coefficient <f, v_{T,p}> comes out
-of one pass of a per-axis 2x2 map over the game table, and a second per-axis
-map expands the series in the unanimity basis: O(n 2**n) either way.  A
-result holds its index set and its coefficients as two aligned arrays.  The
-independent normal-equations route lives in :mod:`pbindex.oracle`.
+The basis is a tensor product, so one pass of ``core.axis_map`` over the
+game table gives every <f, v_{T,p}>: for V_S it folds the axes outside S
+away, leaving 2**|S| entries.  Its inverse on the lattice of S expands the
+series in the unanimity basis.  A result holds its index set and coefficients
+as aligned arrays; the normal-equations route lives in :mod:`pbindex.oracle`.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from .core import (
     Coalition,
     MobiusRepresentation,
     PseudoBooleanFunction,
-    axis_map_inplace,
+    axis_map,
     check_mask,
+    full_mask,
     submasks,
     zeta,
 )
@@ -63,31 +64,32 @@ class Approximation:
 
 
 def _expand_fourier(
-    keys: np.ndarray, fourier: np.ndarray, profile: ProbabilityProfile
+    S: Coalition, packed: np.ndarray, profile: ProbabilityProfile
 ) -> MobiusRepresentation:
-    """Distribute sum_T c_T prod_{i in T}(x_i - p_i)/s_i over the unanimity basis.
+    """Distribute sum_{T subseteq S} c_T prod_{i in T}(x_i - p_i)/s_i over the unanimity basis.
 
-    c_T is ``fourier[j]`` for T = ``keys[j]``.  Per axis (x_i - p_i)/s_i =
-    x_i/s_i - p_i/s_i, so the inverse map sends (c0, c1) to (c0 - p_i c1/s_i,
-    c1/s_i).  It runs on the lattice of the union U of the keys only: on every
-    other axis it would be the identity on a table that is zero there.
-    Coefficients outside the submasks of U stay exactly 0.
+    c_T is ``packed[j]`` for T = ``submasks(S)[j]``.  Per axis (x_i - p_i)/s_i
+    = x_i/s_i - p_i/s_i, so the inverse map sends (c0, c1) to
+    (c0 - p_i c1/s_i, c1/s_i), on the lattice of S: coefficients outside the
+    submasks of S are exactly 0.
     """
-    union = int(np.bitwise_or.reduce(keys))
-    axes = [i for i in range(profile.n) if union >> i & 1]
-    for i in reversed(range(profile.n)):  # squeeze out the bits outside U
-        if not union >> i & 1:
-            keys = (keys & ((1 << i) - 1)) | ((keys >> 1) & -(1 << i))
-    packed = np.zeros(1 << len(axes))
-    packed[keys] = fourier
     maps = []
-    for pi in profile.p[axes].tolist():
-        s = math.sqrt(pi * (1.0 - pi))
-        maps.append((1.0, -pi / s, 0.0, 1.0 / s))
-    axis_map_inplace(packed, maps)
+    for i, pi in enumerate(profile.p.tolist()):
+        if S >> i & 1:
+            s = math.sqrt(pi * (1.0 - pi))
+            maps.append((1.0, -pi / s, 0.0, 1.0 / s))
     coeffs = np.zeros(1 << profile.n)
-    coeffs[submasks(union)] = packed
+    coeffs[submasks(S)] = axis_map(packed, maps)
     return MobiusRepresentation(profile.n, coeffs)
+
+
+def _fourier_maps(profile: ProbabilityProfile, keep: Coalition) -> list[tuple[float, ...]]:
+    # fourier_table's map on the axes of ``keep``; the others fold to q f0 + p f1
+    maps = []
+    for i, pi in enumerate(profile.p.tolist()):
+        s = math.sqrt(pi * (1.0 - pi))
+        maps.append((1.0 - pi, pi, -s, s) if keep >> i & 1 else (1.0 - pi, pi))
+    return maps
 
 
 def fourier_table(f: PseudoBooleanFunction, profile: ProbabilityProfile) -> np.ndarray:
@@ -98,31 +100,22 @@ def fourier_table(f: PseudoBooleanFunction, profile: ProbabilityProfile) -> np.n
     and against (x_i - p_i)/s, leaves <f, v_{T,p}> at every entry T.
     """
     _check_same_n(profile, f)
-    work = f.values.copy()
-    maps = []
-    for pi in profile.p.tolist():
-        s = math.sqrt(pi * (1.0 - pi))
-        maps.append((1.0 - pi, pi, -s, s))
-    axis_map_inplace(work, maps)
-    return work
-
-
-def _project(
-    f: PseudoBooleanFunction, profile: ProbabilityProfile, keys: np.ndarray, **which: int
-) -> Approximation:
-    """Project f onto span{v_{T,p} : T in ``keys``}; ``which`` sets subset or degree."""
-    fourier = fourier_table(f, profile)[keys]
-    multilinear = _expand_fourier(keys, fourier, profile)
-    return Approximation(f.n, profile, keys, fourier, multilinear, **which)
+    return axis_map(f.values, _fourier_maps(profile, full_mask(f.n)))
 
 
 def best_s_approximation(
     f: PseudoBooleanFunction, S: Coalition, profile: ProbabilityProfile
 ) -> Approximation:
-    """Orthogonal projection of f onto V_S under the product measure."""
+    """Orthogonal projection of f onto V_S under the product measure.
+
+    :func:`fourier_table`'s map on the axes of S, the others folded to their
+    weighted sums, leaves its bits at the T inside S on 2**|S| entries.
+    """
     _check_same_n(profile, f)
     check_mask(S, f.n)
-    return _project(f, profile, submasks(S), subset=S)
+    fourier = axis_map(f.values, _fourier_maps(profile, S))
+    multilinear = _expand_fourier(S, fourier, profile)
+    return Approximation(f.n, profile, submasks(S), fourier, multilinear, subset=S)
 
 
 def best_k_approximation(
@@ -132,8 +125,12 @@ def best_k_approximation(
     _check_same_n(profile, f)
     if not 0 <= k <= f.n:
         raise ValidationError(f"degree must lie in 0..{f.n}, got {k}")
-    keys = np.flatnonzero(np.bitwise_count(np.arange(1 << f.n)) <= k)
-    return _project(f, profile, keys, degree=k)
+    table = fourier_table(f, profile)
+    kept = np.bitwise_count(np.arange(1 << f.n)) <= k
+    table[~kept] = 0.0
+    multilinear = _expand_fourier(full_mask(f.n), table, profile)
+    keys = np.flatnonzero(kept)
+    return Approximation(f.n, profile, keys, table[keys], multilinear, degree=k)
 
 
 def residual_norm(

@@ -57,6 +57,8 @@ MAX_ENUMERATED_PLAYERS = 16  # "all subsets" explodes past this
 def _expand_weighted_voting(spec: dict) -> PseudoBooleanFunction:
     try:
         quota = float(spec["quota"])
+        if not isinstance(spec["weights"], list):
+            raise TypeError(f"'weights' must be a list, got {spec['weights']!r}")
         weights = [float(w) for w in spec["weights"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"weighted_voting needs numeric 'quota' and 'weights': {exc}") from exc
@@ -78,10 +80,9 @@ def _expand_random(spec: dict, n: Optional[int]) -> PseudoBooleanFunction:
     if n is None:
         raise ParseError("random generator needs a top-level 'n'")
     check_players(n)  # before drawing 2**n worths
-    try:
-        seed = int(spec["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"random generator needs an integer 'seed': {exc}") from exc
+    seed = spec.get("seed") if isinstance(spec, dict) else None
+    if type(seed) is not int or seed < 0:  # a JSON integer: no bool, no float
+        raise ParseError(f"random generator needs a non-negative integer 'seed', got {seed!r}")
     distribution = spec.get("distribution", "uniform")
     rng = np.random.default_rng(seed)
     if distribution == "uniform":
@@ -464,8 +465,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.kind == "weighted-voting":
         if args.quota is None or args.weights is None:
             raise ValidationError("weighted-voting needs --quota and --weights")
-        weights = [float(tok) for tok in args.weights.split(",")]
-        game = _expand_weighted_voting({"quota": args.quota, "weights": weights})
+        game = _expand_weighted_voting({"quota": args.quota, "weights": args.weights.split(",")})
     elif args.kind == "unanimity":
         if args.n is None or args.players is None:
             raise ValidationError("unanimity needs --n and --players")
@@ -476,10 +476,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         game = _expand_random({"seed": args.seed, "distribution": args.distribution}, args.n)
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown generator {args.kind!r}")
-    if args.out is None:
-        serialize_game(game, sys.stdout)
-    else:
-        serialize_game(game, args.out)
+    serialize_game(game, sys.stdout if args.out is None else args.out)
     return 0
 
 

@@ -5,9 +5,9 @@ the player set N = {1, ..., n}.  Coalitions are bitmasks: bit i set means
 player i+1 belongs to T, so the whole function is a table of 2**n float64
 values indexed by mask.  This module holds the combinatorial workhorses the
 rest of the package builds on: the Mobius and zeta (subset-sum) transforms,
-discrete S-derivatives, the switch operator sigma_S, unanimity games, the
-multilinear extension, and :func:`split_submasks`, the lattice split by a
-coalition S behind every per-subset index sum.
+:func:`axis_map`, the per-axis 2x2 kernel of the whole-lattice maps (it also
+folds axes away), discrete S-derivatives, the switch operator sigma_S,
+unanimity games, the multilinear extension, and :func:`split_submasks`.
 
 All objects are immutable after construction and every function is pure, so
 the module is safe for concurrent reads without locking.
@@ -183,30 +183,38 @@ def _butterfly_inplace(v: np.ndarray, n: int, op: np.ufunc) -> None:
             op(pairs[:, 1, :], pairs[:, 0, :], out=pairs[:, 1, :])
 
 
-def axis_map_inplace(
-    v: np.ndarray, maps: Sequence[tuple[float, float, float, float]]
-) -> None:
-    """Apply a 2x2 map on every axis of a contiguous 2**n table, in place.
+def axis_map(v: np.ndarray, maps: Sequence[tuple[float, ...]]) -> np.ndarray:
+    """A contiguous 2**n table with a 2x2 map applied on every axis; ``v`` is not written.
 
     ``maps[i] = (m00, m01, m10, m11)`` sends each pair (v0, v1) of entries
-    whose masks differ only in bit i to (m00 v0 + m01 v1, m10 v0 + m11 v1).
-    The n maps act on different axes and so commute; the whole pass costs
-    O(n 2**n).  Row 0 of the product is the value at masks without bit i,
-    row 1 at masks with it.
+    whose masks differ only in bit i to (m00 v0 + m01 v1, m10 v0 + m11 v1),
+    row 0 at the mask without bit i.  ``maps[i] = (m00, m01)`` folds axis i
+    away: only row 0 is kept, and the table halves.  Axes go 0..n-1, so a
+    kept entry gets the bits of the full map.  The first axis writes a new
+    table, and kept axes after it map that in place: O(n 2**n) in all.
     """
     if v.shape != (1 << len(maps),) or not v.flags.c_contiguous:
         raise ValidationError(
             f"axis map needs a contiguous table of 2**{len(maps)} entries, got shape {v.shape}"
         )
-    for i, (m00, m01, m10, m11) in enumerate(maps):
-        pairs = v.reshape(-1, 2, 1 << i)
-        v0 = pairs[:, 0, :]
-        v1 = pairs[:, 1, :]
-        row0 = m00 * v0
-        row0 += m01 * v1
-        v1 *= m11
-        v1 += m10 * v0
-        v0[...] = row0
+    out, k = v, 0  # k: the bit of the next axis in ``out``
+    for m in maps:
+        pairs = out.reshape(-1, 2, 1 << k)
+        v0, v1 = pairs[:, 0, :], pairs[:, 1, :]
+        row0 = m[0] * v0
+        row0 += m[1] * v1
+        if len(m) == 2:
+            out = row0.reshape(-1)
+            continue
+        w0, w1 = v0, v1
+        if out is v:  # the first kept axis writes the new table
+            out = np.empty_like(v)
+            w0, w1 = out.reshape(-1, 2, 1 << k).transpose(1, 0, 2)
+        np.multiply(v1, m[3], out=w1)
+        w1 += m[2] * v0
+        w0[...] = row0
+        k += 1
+    return v.copy() if out is v else out
 
 
 def mobius(f: PseudoBooleanFunction) -> MobiusRepresentation:

@@ -33,7 +33,8 @@ from .approx import best_s_approximation
 from .core import (
     Coalition,
     PseudoBooleanFunction,
-    axis_map_inplace,
+    _butterfly_inplace,
+    axis_map,
     check_mask,
     mobius,
     product_table,
@@ -124,8 +125,12 @@ def _influence_mobius(f, S, profile):
 
 
 def _influence_projection(f, S, profile):
-    tab = best_s_approximation(f, S, profile).table().values
-    return float(tab[S] - tab[0])
+    # f_{S,p} lives on the lattice of S: its zeta there runs from f_{S,p}(0) to f_{S,p}(S)
+    tab = best_s_approximation(f, S, profile).multilinear.coeffs[submasks(S)]
+    _butterfly_inplace(tab, S.bit_count(), np.add)
+    if not np.all(np.isfinite(tab)):
+        raise ValidationError("game table contains non-finite entries")
+    return float(tab[-1] - tab[0])
 
 
 def _influence_average(f, S, profile):
@@ -292,9 +297,8 @@ def _conversion_input(coeffs: GeneralizedValueCoefficients, kind: str, name: str
 def gv_p_to_q(coeffs: GeneralizedValueCoefficients) -> GeneralizedValueCoefficients:
     """Convert p-form to q-form: q_R^S = sum_{T : R-S subseteq T subseteq N-S} p_T^S."""
     n, S, D, R = _conversion_input(coeffs, "p", "gv_p_to_q")
-    packed = coeffs.table[D]
     # superset sums over the complement lattice
-    axis_map_inplace(packed, [(1.0, 1.0, 0.0, 1.0)] * (n - S.bit_count()))
+    packed = axis_map(coeffs.table[D], [(1.0, 1.0, 0.0, 1.0)] * (n - S.bit_count()))
     table = np.zeros(1 << n)
     table[D[:, None] | R[1:]] = packed[:, None]  # row D: D | R for every R != 0
     return GeneralizedValueCoefficients(n, S, "q", table)
@@ -314,11 +318,9 @@ def gv_q_to_p(coeffs: GeneralizedValueCoefficients) -> GeneralizedValueCoefficie
         raise InvalidCoefficients(
             f"q values for R-S={int(D[k]):#b} spread by {spread[k]:.3e} > {Q_FORM_TOL}"
         )
-    rep = grid[:, -1].copy()  # q at R = D u S
-    # superset Mobius inversion over the complement lattice
-    axis_map_inplace(rep, [(1.0, -1.0, 0.0, 1.0)] * (n - S.bit_count()))
+    # superset Mobius inversion over the complement lattice of q at R = D u S
     table = np.zeros(1 << n)
-    table[D] = rep
+    table[D] = axis_map(coeffs.table[D | S], [(1.0, -1.0, 0.0, 1.0)] * (n - S.bit_count()))
     return GeneralizedValueCoefficients(n, S, "p", table)
 
 
@@ -383,15 +385,15 @@ def taylor_reconstruct(
     """
     size = 1 << profile.n
     try:
-        work = np.array(interactions, dtype=np.float64)
+        work = np.asarray(interactions, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise IncompleteTable(f"interaction table needs {size} numbers: {exc}") from exc
     if work.shape != (size,):
         raise IncompleteTable(f"interaction table needs {size} entries, got shape {work.shape}")
     # evaluate the shifted-product polynomial on vertices: x_i - p_i is -p_i
     # without player i and 1 - p_i with it
-    axis_map_inplace(work, [(1.0, -pi, 1.0, 1.0 - pi) for pi in profile.p.tolist()])
-    return PseudoBooleanFunction(profile.n, work)
+    maps = [(1.0, -pi, 1.0, 1.0 - pi) for pi in profile.p.tolist()]
+    return PseudoBooleanFunction(profile.n, axis_map(np.ascontiguousarray(work), maps))
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +402,7 @@ def taylor_reconstruct(
 
 def _interaction_values(values: np.ndarray, p: Sequence[float]) -> np.ndarray:
     # I(S) = E[(Delta_S f)(C)]: average out axes outside S, difference on S
-    work = values.copy()
-    axis_map_inplace(work, [(1.0 - pi, pi, -1.0, 1.0) for pi in p])
-    return work
+    return axis_map(values, [(1.0 - pi, pi, -1.0, 1.0) for pi in p])
 
 
 def _influence_values(values: np.ndarray, p: Sequence[float]) -> np.ndarray:
@@ -412,11 +412,8 @@ def _influence_values(values: np.ndarray, p: Sequence[float]) -> np.ndarray:
     # values centered at E[f] Cauchy-Schwarz bounds that by sigma_f
     # sigma(g_{S,p}), so r = Phi / (sigma_f sigma(g_{S,p})) stays accurate
     # however small sigma_f is.
-    joined = values.copy()
-    axis_map_inplace(joined, [(1.0 - pi, pi, 0.0, 1.0) for pi in p])
-    removed = values.copy()
-    axis_map_inplace(removed, [(1.0 - pi, pi, 1.0, 0.0) for pi in p])
-    joined -= removed
+    joined = axis_map(values, [(1.0 - pi, pi, 0.0, 1.0) for pi in p])
+    joined -= axis_map(values, [(1.0 - pi, pi, 1.0, 0.0) for pi in p])
     return joined
 
 

@@ -93,13 +93,15 @@ class TestBestKApproximation:
 
 class TestToMultilinear:
     def test_uniform_singleton_expansion(self):
-        out = _expand_fourier(np.array([0b01]), np.array([0.25]), UNIFORM2)
+        out = _expand_fourier(0b01, np.array([0.0, 0.25]), UNIFORM2)
         # (1/4) v_{1} = (1/2) x1 - 1/4
         assert out.coeffs.tolist() == pytest.approx([-0.25, 0.5, 0.0, 0.0], abs=1e-15)
 
     def test_empty_series_expands_to_zero(self):
-        out = _expand_fourier(np.array([], dtype=np.int64), np.array([]), ProbabilityProfile([0.3, 0.6, 0.9]))
-        assert out.coeffs.tolist() == [0.0] * 8
+        p = ProbabilityProfile([0.3, 0.6, 0.9])
+        for S in (0, 0b101, 0b111):
+            out = _expand_fourier(S, np.zeros(1 << S.bit_count()), p)
+            assert out.coeffs.tolist() == [0.0] * 8
 
     def test_coefficients_outside_the_union_of_keys_stay_zero(self):
         rng = np.random.default_rng(28)
@@ -110,8 +112,10 @@ class TestToMultilinear:
             union = 0
             for T in keys:
                 union |= T
-            series = {T: float(rng.normal()) for T in keys}
-            out = _expand_fourier(np.array(list(series)), np.array(list(series.values())), p)
+            # the series over the lattice of the union, zero off the keys
+            packed = np.zeros(1 << union.bit_count())
+            packed[np.searchsorted(submasks(union), keys)] = rng.normal(size=len(keys))
+            out = _expand_fourier(union, packed, p)
             outside = np.ones(1 << n, dtype=bool)
             outside[submasks(union)] = False
             assert np.all(out.coeffs[outside] == 0.0)
@@ -198,7 +202,7 @@ class TestOptimality:
                     c + rng.uniform(-1, 1) * 10.0 ** rng.integers(-6, 1)
                     for c in approx.fourier.tolist()
                 ]
-                g = zeta(_expand_fourier(approx.keys, np.array(noisy), p))
+                g = zeta(_expand_fourier(S, np.array(noisy), p))
                 assert best <= weighted_sq_dist(p, f, g.values) + 1e-12
 
     def test_residual_is_orthogonal_to_the_subspace(self):

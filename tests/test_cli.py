@@ -552,3 +552,44 @@ class TestGenerate:
     def test_bad_player_count_fails_validation(self, kind, capsys):
         assert main(["generate", *kind, "--n", "-3"]) == 1
         assert "error: player count must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["weighted-voting", "--quota", "3", "--weights", "2,x"], "numeric 'quota' and 'weights'"),
+            (["random", "--n", "3", "--seed", "-5"], "non-negative integer 'seed'"),
+        ],
+    )
+    def test_bad_generator_values_print_one_error_line(self, argv, message, capsys):
+        assert main(["generate", *argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+class TestGeneratorSpecs:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"weighted_voting": {"quota": 3, "weights": "22"}},
+            {"weighted_voting": {"quota": 3, "weights": 2}},
+            {"n": 3, "random": {"seed": 1.7}},
+            {"n": 3, "random": {"seed": -1}},
+            {"n": 3, "random": {"seed": "7"}},
+            {"n": 3, "random": {"seed": True}},
+            {"n": 3, "random": {}},
+            {"n": 3, "random": 5},
+        ],
+    )
+    def test_fields_of_the_wrong_type_are_parse_errors(self, spec, tmp_path, capsys):
+        path = write_game(tmp_path, {"version": 1, **spec})
+        with pytest.raises(ParseError):
+            parse_game(path)
+        assert main(["analyze", path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_a_list_of_weights_and_an_integer_seed_still_parse(self, tmp_path):
+        game = parse_game(write_game(tmp_path, {"weighted_voting": {"quota": 3, "weights": [2, 2]}}))
+        assert game.values.tolist() == [0, 0, 0, 1]
+        doc = {"n": 3, "random": {"seed": 0}}
+        assert parse_game(write_game(tmp_path, doc)).n == 3

@@ -23,7 +23,7 @@ from pbindex import (
     zeta,
 )
 from pbindex import core
-from pbindex.core import axis_map_inplace, product_table, submasks, subset_products
+from pbindex.core import axis_map, product_table, submasks, subset_products
 from pbindex.indices import _comp_weights
 from pbindex.oracle import _point_products
 from helpers import brute_mobius, brute_zeta, random_game
@@ -209,21 +209,46 @@ class TestAxisMap:
                     nxt[mask] = m00 * v0 + m01 * v1
                     nxt[mask | 1 << i] = m10 * v0 + m11 * v1
             expected = nxt
-        work = values.copy()
-        axis_map_inplace(work, maps)
-        assert np.max(np.abs(work - expected)) <= 1e-14
+        assert np.max(np.abs(axis_map(values, maps) - expected)) <= 1e-14
 
     def test_mobius_is_the_difference_map(self):
         f = random_game(np.random.default_rng(5), 5)
-        work = f.values.copy()
-        axis_map_inplace(work, [(1.0, 0.0, -1.0, 1.0)] * 5)
-        assert np.array_equal(work, mobius(f).coeffs)
+        assert np.array_equal(axis_map(f.values, [(1.0, 0.0, -1.0, 1.0)] * 5), mobius(f).coeffs)
 
     def test_rejects_tables_of_the_wrong_size(self):
         with pytest.raises(ValidationError):
-            axis_map_inplace(np.zeros(8), [(1.0, 0.0, 0.0, 1.0)] * 2)
+            axis_map(np.zeros(8), [(1.0, 0.0, 0.0, 1.0)] * 2)
         with pytest.raises(ValidationError):
-            axis_map_inplace(np.zeros(16)[::2], [(1.0, 0.0, 0.0, 1.0)] * 3)
+            axis_map(np.zeros(16)[::2], [(1.0, 0.0, 0.0, 1.0)] * 3)
+        with pytest.raises(ValidationError):
+            axis_map(np.zeros(8), [(1.0, 0.0)] * 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("pattern", ["first", "last", "every", "none"])
+    def test_a_fold_is_the_full_map_at_the_kept_submasks(self, n, pattern):
+        rng = np.random.default_rng(7 + n)
+        values = rng.uniform(-1e3, 1e3, 1 << n)
+        maps = [tuple(rng.uniform(-2, 2, 4).tolist()) for _ in range(n)]
+        folded = {"first": 1, "last": 1 << (n - 1), "every": (1 << n) - 1, "none": 0}[pattern]
+        kept = ((1 << n) - 1) & ~folded
+        mixed = [m[:2] if folded >> i & 1 else m for i, m in enumerate(maps)]
+        got = axis_map(values, mixed)
+        assert got.shape == (1 << kept.bit_count(),)
+        assert got.tobytes() == axis_map(values, maps)[submasks(kept)].tobytes()
+
+    def test_leaves_its_input_unchanged(self):
+        f = random_game(np.random.default_rng(9), 6)
+        work = f.values.copy()
+        before = work.tobytes()
+        maps = [(0.3, 0.7, -0.5, 0.5)] * 3 + [(0.3, 0.7)] * 3
+        for table in (work, f.values):  # a writeable copy and the read-only table
+            got = axis_map(table, maps)
+            assert got.tobytes() == axis_map(f.values, maps).tobytes()
+            assert not np.shares_memory(got, table)
+        assert work.tobytes() == before
+        assert not f.values.flags.writeable
+        single = np.array([2.5])  # no axes: still a new array
+        assert axis_map(single, []) is not single
 
 
 class TestMultilinearExtension:

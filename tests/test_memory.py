@@ -96,3 +96,18 @@ def test_cdf_oracle_evaluates_the_table_outside_s():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * TABLE_BYTES, f"the CDF oracle peaked at {peak / TABLE_BYTES:.1f} tables"
+
+
+def test_projection_route_builds_no_whole_lattice_table():
+    # the approximant's coefficients sit on the 2**4 submasks of S, so its two
+    # endpoints need no zeta over all 2**16 masks
+    rng = np.random.default_rng(16)
+    f = random_game(rng, N)
+    p = random_profile(rng, N)
+    tracemalloc.start()
+    try:
+        banzhaf_influence(f, S4, p, "projection")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * TABLE_BYTES, f"the projection route peaked at {peak / TABLE_BYTES:.1f} tables"

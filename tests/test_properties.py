@@ -17,6 +17,10 @@ oracle's table of sigma_S f over the players outside S draws n <= 10 and
 worths in [-100, 100] times 10^-6, 1 or 10^6: it must equal the entries of
 the whole-lattice table bit for bit, and its estimate must match the
 whole-lattice evaluation of the same draws within 1e-12 * max(1, sum |a|).
+The best S-approximation, which folds the axes outside S away, draws n <= 10
+and worths u times 10^-6 or 10^6, or 1e6 + 1e-6 u, with u in [-1, 1]: its
+coefficients and the projection route's influence must have the bits of the
+whole-lattice Fourier table and of the approximant's whole table.
 """
 
 import math
@@ -51,7 +55,8 @@ from pbindex import (
     subsets_of,
 )
 from pbindex import indices, oracle
-from pbindex.core import mobius, subset_products
+from pbindex.approx import fourier_table
+from pbindex.core import mobius, submasks, subset_products
 from pbindex.measure import INTERIOR_EPS
 
 REL_TOL = 1e-9
@@ -303,3 +308,29 @@ def test_cdf_oracle_table_is_the_whole_lattice_table_outside_s(data, n, seed):
     want = oracle._make_estimate(draws, samples, seed).mean
     got = oracle.cdf_integral_check(f, S, p, samples, seed, family).mean
     assert abs(got - want) <= 1e-12 * max(1.0, float(np.sum(np.abs(whole))))
+
+
+WORTHS = {
+    "tiny": lambda u: u * 1e-6,
+    "huge": lambda u: u * 1e6,
+    "nearly constant": lambda u: 1e6 + 1e-6 * u,
+}
+
+
+@SETTINGS
+@given(data=st.data(), n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_folded_projection_has_the_bits_of_the_whole_lattice(data, n, seed):
+    rng = np.random.default_rng(seed)
+    worths = WORTHS[data.draw(st.sampled_from(sorted(WORTHS)))]
+    f = PseudoBooleanFunction(n, worths(rng.uniform(-1.0, 1.0, 1 << n)))
+    edge = st.sampled_from([INTERIOR_EPS, 1.0 - INTERIOR_EPS])
+    probs = st.one_of(edge, st.floats(INTERIOR_EPS, 1.0 - INTERIOR_EPS))
+    p = ProbabilityProfile(data.draw(arrays(np.float64, n, elements=probs)))
+    one_bit = st.integers(0, n - 1).map(lambda i: 1 << i)
+    S = data.draw(st.one_of(st.just(0), one_bit, _masks(n), st.just((1 << n) - 1)))
+
+    approx = best_s_approximation(f, S, p)
+    assert approx.fourier.tobytes() == fourier_table(f, p)[submasks(S)].tobytes()
+    t = approx.table().values
+    got = banzhaf_influence(f, S, p, method="projection")
+    assert np.float64(got).tobytes() == np.float64(t[S] - t[0]).tobytes()
