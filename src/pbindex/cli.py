@@ -23,6 +23,7 @@ import contextlib
 import itertools
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,25 +55,32 @@ MAX_ENUMERATED_PLAYERS = 16  # "all subsets" explodes past this
 # game files
 # ---------------------------------------------------------------------------
 
+# generator fields take JSON types as they are, as worths do: a number is an
+# int or a float (bool is neither), an integer an int
+WEIGHTED_VOTING_NEEDS = "weighted_voting needs numeric 'quota' and 'weights'"
+UNANIMITY_NEEDS = "unanimity needs a list of integer 'players'"
+
+
 def _expand_weighted_voting(spec: dict) -> PseudoBooleanFunction:
+    quota = spec.get("quota") if isinstance(spec, dict) else None
+    weights = spec.get("weights") if isinstance(spec, dict) else None
+    if type(quota) not in (int, float):
+        raise ParseError(f"{WEIGHTED_VOTING_NEEDS}: 'quota' is {reprlib.repr(quota)}")
+    if type(weights) is not list or not set(map(type, weights)) <= {int, float}:
+        raise ParseError(f"{WEIGHTED_VOTING_NEEDS}: 'weights' is {reprlib.repr(weights)}")
     try:
-        quota = float(spec["quota"])
-        if not isinstance(spec["weights"], list):
-            raise TypeError(f"'weights' must be a list, got {spec['weights']!r}")
-        weights = [float(w) for w in spec["weights"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"weighted_voting needs numeric 'quota' and 'weights': {exc}") from exc
-    return weighted_voting_game(quota, weights)
+        return weighted_voting_game(float(quota), [float(w) for w in weights])
+    except OverflowError as exc:  # an integer past the float range
+        raise ParseError(f"{WEIGHTED_VOTING_NEEDS}: {exc}") from exc
 
 
 def _expand_unanimity(spec: dict, n: Optional[int]) -> PseudoBooleanFunction:
     if n is None:
         raise ParseError("unanimity generator needs a top-level 'n'")
     check_players(n)
-    try:
-        players = [int(i) for i in spec["players"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"unanimity needs a 'players' list: {exc}") from exc
+    players = spec.get("players") if isinstance(spec, dict) else None
+    if type(players) is not list or not set(map(type, players)) <= {int}:
+        raise ParseError(f"{UNANIMITY_NEEDS}: 'players' is {reprlib.repr(players)}")
     return unanimity_game(n, mask_from_players(players, n))
 
 
@@ -111,8 +119,8 @@ def parse_game(source: Union[str, Path, TextIO]) -> PseudoBooleanFunction:
     if not isinstance(doc, dict):
         raise ParseError("game file must be a JSON object")
     version = doc.get("version", GAME_FORMAT_VERSION)
-    if version != GAME_FORMAT_VERSION:
-        raise ParseError(f"unsupported game file version {version!r}")
+    if type(version) is not int or version != GAME_FORMAT_VERSION:
+        raise ParseError(f"unsupported game file version {reprlib.repr(version)}")
     n = doc.get("n")
     if n is not None and not isinstance(n, int):
         raise ParseError(f"field 'n' must be an integer, got {n!r}")
@@ -372,25 +380,35 @@ ORTHO_CHUNK_BITS = 16
 ORTHO_ROW_BLOCK = 16
 
 
+def _orthonormality_gram(profile: ProbabilityProfile, picks: np.ndarray) -> np.ndarray:
+    """Gram matrix <v_S, v_T> of the basis tables v_{T,p}, T in ``picks``.
+
+    They and the weights are products of per-player factors, so the Gram is
+    the entrywise product of the Grams over groups of players (one group,
+    the dense Gram, at n <= 16).  A group's rows are filled into one table,
+    and their weighted copy is made ORTHO_ROW_BLOCK rows at a time; OpenBLAS
+    gives a block the bits of one 64-row product (checked for 8 to 32 rows).
+    """
+    pairs = [measure._basis_pairs(profile, int(T)) for T in picks]
+    gram = np.ones((len(picks), len(picks)))
+    for lo in range(0, profile.n, ORTHO_CHUNK_BITS):
+        hi = min(lo + ORTHO_CHUNK_BITS, profile.n)
+        rows = np.empty((len(picks), 1 << (hi - lo)))
+        for row, pair in zip(rows, pairs):
+            row[:] = product_table(pair[lo:hi])
+        w = ProbabilityProfile(profile.p[lo:hi]).weights()
+        for r in range(0, len(picks), ORTHO_ROW_BLOCK):
+            gram[r : r + ORTHO_ROW_BLOCK] *= (rows[r : r + ORTHO_ROW_BLOCK] * w) @ rows.T
+    return gram
+
+
 def _check_orthonormality(game, profile, rng) -> CheckResult:
-    # Gram of up to 64 basis tables v_{T,p}.  They and the weights are
-    # products of per-player factors, so the Gram is the entrywise product of
-    # the Grams over groups of players (one group, the dense Gram, at n <= 16).
-    # The weighted copy is made ORTHO_ROW_BLOCK rows at a time; OpenBLAS gives
-    # a block the bits of one 64-row product (checked for 8 to 32 rows).
     size = 1 << game.n
     if size <= 64:
         picks = np.arange(size)
     else:
         picks = rng.choice(size, size=64, replace=False)
-    pairs = [measure._basis_pairs(profile, int(T)) for T in picks]
-    gram = np.ones((len(picks), len(picks)))
-    for lo in range(0, game.n, ORTHO_CHUNK_BITS):
-        hi = lo + ORTHO_CHUNK_BITS
-        rows = np.stack([product_table(pair[lo:hi]) for pair in pairs])
-        w = ProbabilityProfile(profile.p[lo:hi]).weights()
-        for r in range(0, len(picks), ORTHO_ROW_BLOCK):
-            gram[r : r + ORTHO_ROW_BLOCK] *= (rows[r : r + ORTHO_ROW_BLOCK] * w) @ rows.T
+    gram = _orthonormality_gram(profile, picks)
     worst = float(np.max(np.abs(gram - np.eye(len(picks)))))
     return CheckResult("orthonormality", worst <= 1e-10, worst)
 
@@ -439,6 +457,8 @@ def _check_quadrature(game, rng) -> CheckResult:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValidationError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be non-negative, got {args.seed}")
     game = parse_game(args.game)
     profile = parse_profile(args.p, game.n)
     rng = np.random.default_rng(args.seed)
@@ -461,15 +481,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 0
 
 
+def _comma_list(text: str, convert, needs: str) -> list:
+    try:
+        return [convert(item) for item in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"{needs}: {exc}") from exc
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.kind == "weighted-voting":
         if args.quota is None or args.weights is None:
             raise ValidationError("weighted-voting needs --quota and --weights")
-        game = _expand_weighted_voting({"quota": args.quota, "weights": args.weights.split(",")})
+        weights = _comma_list(args.weights, float, WEIGHTED_VOTING_NEEDS)
+        game = _expand_weighted_voting({"quota": args.quota, "weights": weights})
     elif args.kind == "unanimity":
         if args.n is None or args.players is None:
             raise ValidationError("unanimity needs --n and --players")
-        game = _expand_unanimity({"players": args.players.split(",")}, args.n)
+        players = _comma_list(args.players, int, UNANIMITY_NEEDS)
+        game = _expand_unanimity({"players": players}, args.n)
     elif args.kind == "random":
         if args.n is None:
             raise ValidationError("random needs --n")

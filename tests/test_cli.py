@@ -14,7 +14,7 @@ from pbindex import (
     basis_function,
     index_report,
 )
-from pbindex import cli, indices
+from pbindex import cli, indices, measure
 from pbindex.cli import (
     format_subset,
     main,
@@ -24,6 +24,7 @@ from pbindex.cli import (
     serialize_game,
     write_rows,
 )
+from pbindex.core import product_table
 
 OR_DOC = {"version": 1, "n": 2, "values": [0, 1, 1, 1]}
 
@@ -476,6 +477,13 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
 
+    @pytest.mark.parametrize("seed", ["-1", "-20260809"])
+    def test_negative_seed_fails_validation(self, tmp_path, capsys, seed):
+        assert main(["verify", write_game(tmp_path, OR_DOC), "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seed must be non-negative, got {seed}\n"
+
     def test_chunked_orthonormality_matches_the_dense_gram(self, monkeypatch):
         monkeypatch.setattr(cli, "ORTHO_CHUNK_BITS", 4)  # groups of 4 + 4 and 4 + 4 + 1 players
         for n in (8, 9):
@@ -489,6 +497,42 @@ class TestVerify:
             check = cli._check_orthonormality(game, profile, np.random.default_rng(5))
             assert check.passed
             assert abs(check.deviation - dense) <= 1e-15
+
+    @staticmethod
+    def _gram_of_stacked_tables(profile, picks):
+        # the Gram built from a list of one product_table per row and its np.stack copy
+        pairs = [measure._basis_pairs(profile, int(T)) for T in picks]
+        gram = np.ones((len(picks), len(picks)))
+        for lo in range(0, profile.n, cli.ORTHO_CHUNK_BITS):
+            hi = lo + cli.ORTHO_CHUNK_BITS
+            rows = np.stack([product_table(pair[lo:hi]) for pair in pairs])
+            w = ProbabilityProfile(profile.p[lo:hi]).weights()
+            for r in range(0, len(picks), cli.ORTHO_ROW_BLOCK):
+                gram[r : r + cli.ORTHO_ROW_BLOCK] *= (rows[r : r + cli.ORTHO_ROW_BLOCK] * w) @ rows.T
+        return gram
+
+    @pytest.mark.parametrize("bound", [False, True])
+    @pytest.mark.parametrize(
+        "n, chunk_bits",
+        [(1, 16), (6, 16), (12, 16), (16, 16), (17, 16), (9, 4)],  # n = 6: every mask
+    )
+    def test_orthonormality_gram_is_the_stacked_tables_gram(self, monkeypatch, n, chunk_bits, bound):
+        monkeypatch.setattr(cli, "ORTHO_CHUNK_BITS", chunk_bits)
+        rng = np.random.default_rng(n)
+        p = rng.uniform(0.05, 0.95, n)
+        if bound:  # the interior bound on either side
+            p[::3], p[1::3] = 1e-9, 1.0 - 1e-9
+        profile = ProbabilityProfile(p)
+        game = PseudoBooleanFunction(n, np.zeros(1 << n))
+        if n <= 6:
+            picks = np.arange(1 << n)
+        else:
+            picks = np.random.default_rng(5).choice(1 << n, size=64, replace=False)
+        want = self._gram_of_stacked_tables(profile, picks)
+        assert cli._orthonormality_gram(profile, picks).tobytes() == want.tobytes()
+        check = cli._check_orthonormality(game, profile, np.random.default_rng(5))
+        deviation = float(np.max(np.abs(want - np.eye(len(picks)))))
+        assert np.float64(check.deviation).tobytes() == np.float64(deviation).tobytes()
 
     def test_verify_runs_past_sixteen_players(self, tmp_path, capsys):
         # two player groups (16 + 1) and CDF draws of 2**20 >> 9 = 2048 rows
@@ -558,6 +602,7 @@ class TestGenerate:
         [
             (["weighted-voting", "--quota", "3", "--weights", "2,x"], "numeric 'quota' and 'weights'"),
             (["random", "--n", "3", "--seed", "-5"], "non-negative integer 'seed'"),
+            (["unanimity", "--n", "3", "--players", "1,x"], "list of integer 'players'"),
         ],
     )
     def test_bad_generator_values_print_one_error_line(self, argv, message, capsys):
@@ -587,6 +632,37 @@ class TestGeneratorSpecs:
         assert main(["analyze", path]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 3, "unanimity": {"players": "12"}},
+            {"n": 3, "unanimity": {"players": [1.7]}},
+            {"n": 3, "unanimity": {"players": [True]}},
+            {"n": 3, "unanimity": {"players": 1}},
+            {"n": 3, "unanimity": [1]},
+            {"weighted_voting": {"quota": True, "weights": [1, 1]}},
+            {"weighted_voting": {"quota": "2", "weights": [1, 1]}},
+            {"weighted_voting": {"quota": 2, "weights": ["1", 1]}},
+            {"weighted_voting": {"quota": 2, "weights": [1, False]}},
+            {"weighted_voting": {"quota": 2, "weights": [1, 10**400]}},
+            {"weighted_voting": {"weights": [1, 1]}},
+            {"weighted_voting": {"quota": "q" * 10**4, "weights": [1, 1]}},
+            {"weighted_voting": {"quota": [1] * 10**4, "weights": [1, 1]}},
+            {"version": True, "n": 1, "values": [0, 1]},
+            {"version": 1.0, "n": 1, "values": [0, 1]},
+            {"version": "1", "n": 1, "values": [0, 1]},
+            {"version": "v" * 10**4, "n": 1, "values": [0, 1]},
+        ],
+    )
+    def test_fields_take_json_types_without_coercion(self, doc, tmp_path, capsys):
+        path = write_game(tmp_path, {"version": 1, **doc})
+        assert main(["analyze", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err[0]) < 200  # a huge field is abbreviated
 
     def test_a_list_of_weights_and_an_integer_seed_still_parse(self, tmp_path):
         game = parse_game(write_game(tmp_path, {"weighted_voting": {"quota": 3, "weights": [2, 2]}}))

@@ -18,6 +18,7 @@ from pbindex import (
     mobius,
     shapley_generalized_value,
 )
+from pbindex import cli
 from helpers import random_game, random_profile
 
 N = 16
@@ -111,3 +112,20 @@ def test_projection_route_builds_no_whole_lattice_table():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * TABLE_BYTES, f"the projection route peaked at {peak / TABLE_BYTES:.1f} tables"
+
+
+def test_orthonormality_check_holds_its_basis_rows_once():
+    # the 64 basis rows are filled into one (64, 2**16) table, with no list
+    # of the rows beside it; one weighted block of 16 rows is the only copy
+    rows_bytes = 64 * TABLE_BYTES
+    rng = np.random.default_rng(16)
+    f = random_game(rng, N)
+    p = random_profile(rng, N)
+    tracemalloc.start()
+    try:
+        check = cli._check_orthonormality(f, p, np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.passed
+    assert peak <= 1.3 * rows_bytes, f"the check peaked at {peak / rows_bytes:.2f} row tables"
