@@ -21,7 +21,9 @@ from pbindex import (
     lsq_normal_equations,
     mc_expectation,
     shapley_generalized_value,
+    sigma_s,
 )
+from pbindex.measure import multilinear_expectation
 
 rng = np.random.default_rng(2024)
 n = 7
@@ -49,11 +51,11 @@ for label, transform, truth in pairs:
 
 print()
 print("== any product of unit-interval distributions with mean p works ==")
-est = cdf_integral_check(f, S, p, 100_000, seed=42, family="beta")
+est = cdf_integral_check(f, S, p, 100_000, seed=42)
 truth = banzhaf_influence(f, S, p)
 print(f"  Beta(2p, 2(1-p)) integral: {est.mean:.5f} +/- {est.std_error:.5f}   truth {truth:.5f}")
-est = cdf_integral_check(f, S, p, 1024, seed=42, family="point")
-print(f"  point mass at p:           {est.mean:.5f} +/- {est.std_error:.5f}   (exact)")
+point = multilinear_expectation(p, sigma_s(f, S))
+print(f"  point mass at p:           {point:.5f}   (exact)")
 
 print()
 print("== integrals over the probability parameter ==")

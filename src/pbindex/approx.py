@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,17 +41,14 @@ class Approximation:
 
     ``fourier[j]`` is <f, v_{T,p}> for the included subset T = ``keys[j]``;
     ``keys`` (int64) ascends, and both arrays are read-only.  ``multilinear``
-    is the same approximant expanded in the unanimity basis.  Exactly one of
-    ``subset`` and ``degree`` is set.
+    is the same approximant expanded in the unanimity basis.  The index set
+    is ``keys``: the submasks of S, or the masks of at most k players.
     """
 
     n: int
-    profile: ProbabilityProfile
     keys: np.ndarray
     fourier: np.ndarray
     multilinear: MobiusRepresentation
-    subset: Optional[Coalition] = None
-    degree: Optional[int] = None
 
     def __post_init__(self):
         for column in (self.keys, self.fourier):
@@ -115,7 +111,7 @@ def best_s_approximation(
     check_mask(S, f.n)
     fourier = axis_map(f.values, _fourier_maps(profile, S))
     multilinear = _expand_fourier(S, fourier, profile)
-    return Approximation(f.n, profile, submasks(S), fourier, multilinear, subset=S)
+    return Approximation(f.n, submasks(S), fourier, multilinear)
 
 
 def best_k_approximation(
@@ -130,7 +126,7 @@ def best_k_approximation(
     table[~kept] = 0.0
     multilinear = _expand_fourier(full_mask(f.n), table, profile)
     keys = np.flatnonzero(kept)
-    return Approximation(f.n, profile, keys, table[keys], multilinear, degree=k)
+    return Approximation(f.n, keys, table[keys], multilinear)
 
 
 def residual_norm(

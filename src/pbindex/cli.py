@@ -255,14 +255,18 @@ def write_rows(
 # argument parsing helpers
 # ---------------------------------------------------------------------------
 
+def _comma_list(text: str, convert, needs: str) -> list:
+    try:
+        return [convert(item) for item in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"{needs}: {exc}") from exc
+
+
 def parse_profile(spec: Optional[str], n: int) -> ProbabilityProfile:
     """Build a profile from ``--p``: omitted = uniform, scalar = replicated."""
     if spec is None:
         return ProbabilityProfile.uniform(n)
-    try:
-        parts = [float(tok) for tok in spec.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse probabilities from {spec!r}") from exc
+    parts = _comma_list(spec, float, f"cannot parse probabilities from {spec!r}")
     if len(parts) == 1:
         return ProbabilityProfile.constant(n, parts[0])
     if len(parts) != n:
@@ -291,10 +295,7 @@ def parse_subsets(selector: str, n: int) -> Union[List[Coalition], np.ndarray]:
         if group in ("", "0"):
             subsets.append(0)
             continue
-        try:
-            players = [int(tok) for tok in group.split(",")]
-        except ValueError as exc:
-            raise ValidationError(f"cannot parse subset {group!r}") from exc
+        players = _comma_list(group, int, f"cannot parse subset {group!r}")
         subsets.append(mask_from_players(players, n))
     return subsets
 
@@ -479,13 +480,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return 2
         out.write("all checks passed\n")
         return 0
-
-
-def _comma_list(text: str, convert, needs: str) -> list:
-    try:
-        return [convert(item) for item in text.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"{needs}: {exc}") from exc
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

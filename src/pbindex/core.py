@@ -15,12 +15,11 @@ the module is safe for concurrent reads without locking.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, SumOverflow, ValidationError
+from .errors import DomainError, ValidationError
 
 # Dense 2**n float64 tables stay under ~135 MB at this cap.
 MAX_PLAYERS = 24
@@ -242,19 +241,17 @@ def eval_multilinear_extension(a: MobiusRepresentation, x) -> float:
 
     The point ``x`` must lie in the unit cube [0, 1]^n; interior points are
     the expectation of the game under independent coalition formation.
+    Summed exactly by ``measure._fsum``, so a sum past the float range raises
+    :class:`~pbindex.errors.SumOverflow`.
     """
+    from .measure import _fsum  # measure imports this module
+
     pt = np.asarray(x, dtype=np.float64)
     if pt.shape != (a.n,):
         raise DomainError(f"point must have {a.n} coordinates, got shape {pt.shape}")
     if np.any(pt < 0.0) or np.any(pt > 1.0):
         raise DomainError(f"point {pt.tolist()} outside the unit cube")
-    prods = subset_products(pt)
-    try:
-        return math.fsum((a.coeffs * prods).tolist())
-    except OverflowError:
-        raise SumOverflow(
-            f"the extension's exact sum of {prods.size} terms passes the float range"
-        ) from None
+    return _fsum(a.coeffs * subset_products(pt))
 
 
 # ---------------------------------------------------------------------------

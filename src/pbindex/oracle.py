@@ -59,16 +59,10 @@ from .measure import (
 
 @dataclass(frozen=True)
 class SampleEstimate:
-    """A Monte Carlo mean with its standard error and provenance."""
+    """A Monte Carlo mean with its standard error (the sample deviation over sqrt(samples))."""
 
     mean: float
     std_error: float
-    samples: int
-    seed: int
-
-    def __post_init__(self):
-        if self.samples < 2:
-            raise ValidationError("a sample estimate needs at least 2 samples")
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +108,7 @@ def lsq_normal_equations(
     fourier = np.array(
         [inner_product(profile, table, basis_function(profile, T)) for T in basis.tolist()]
     )
-    return Approximation(f.n, profile, basis, fourier, multilinear, subset=S)
+    return Approximation(f.n, basis, fourier, multilinear)
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +136,14 @@ def sample_coalitions(
     return out
 
 
-def _make_estimate(draws: np.ndarray, samples: int, seed: int) -> SampleEstimate:
+def _make_estimate(draws: np.ndarray) -> SampleEstimate:
     lo, hi = draws.min(), draws.max()
     if lo == hi:  # identical observations: the mean is exact and the spread is zero
-        return SampleEstimate(float(lo), 0.0, samples, seed)
+        return SampleEstimate(float(lo), 0.0)
     e = _scale_exponent(draws)  # mean and spread of draws / 2**e: no sum or square overflows
     scaled = np.ldexp(draws, -e)
-    spread = float(np.std(scaled, ddof=1) / math.sqrt(samples))
-    return SampleEstimate(math.ldexp(float(scaled.mean()), e), math.ldexp(spread, e), samples, seed)
+    spread = float(np.std(scaled, ddof=1) / math.sqrt(draws.size))
+    return SampleEstimate(math.ldexp(float(scaled.mean()), e), math.ldexp(spread, e))
 
 
 TRANSFORMS = ("identity", "sigma", "delta")
@@ -182,7 +176,7 @@ def mc_expectation(
         raise ValidationError(f"unknown transform {transform!r}, expected one of {TRANSFORMS}")
     rng = np.random.default_rng(seed)
     draws = g.values[sample_coalitions(profile, rng, samples)]
-    return _make_estimate(draws, samples, seed)
+    return _make_estimate(draws)
 
 
 # ---------------------------------------------------------------------------
@@ -269,23 +263,19 @@ def _switch_mobius(f: PseudoBooleanFunction, S: Coalition) -> np.ndarray:
     return g
 
 
-CDF_FAMILIES = ("beta", "point")
-
-
 def cdf_integral_check(
     f: PseudoBooleanFunction,
     S: Coalition,
     profile: ProbabilityProfile,
     samples: int,
     seed: int,
-    family: str = "beta",
 ) -> SampleEstimate:
     """Sample the integral of (sigma_S fbar)(x) under per-player CDFs with mean p_i.
 
     Any product of distributions on [0,1] whose means match the profile
-    integrates to the influence index.  ``beta`` draws x_i from
-    Beta(2 p_i, 2 (1-p_i)); ``point`` is the degenerate point mass at p_i,
-    for which every draw hits the same value and the standard error is 0.
+    integrates to the influence index; x_i is drawn from
+    Beta(2 p_i, 2 (1-p_i)).  (The point mass at p gives the influence index
+    itself: :func:`~pbindex.measure.multilinear_expectation` of sigma_S f.)
 
     Each point is drawn for all n players, so S does not change the stream,
     and the extension is evaluated on its m = n - |S| coordinates outside S
@@ -296,12 +286,10 @@ def cdf_integral_check(
     check_mask(S, f.n)
     if samples < 1000:
         raise ValidationError(f"need at least 1000 samples, got {samples}")
-    if family not in CDF_FAMILIES:
-        raise ValidationError(f"unknown family {family!r}, expected one of {CDF_FAMILIES}")
     coeffs = _switch_mobius(f, S)
     m = f.n - S.bit_count()
     if m == 0:
-        return _make_estimate(np.full(samples, coeffs[0]), samples, seed)
+        return _make_estimate(np.full(samples, coeffs[0]))
     a = MobiusRepresentation(m, coeffs)
     del coeffs
     outside = [i for i in range(f.n) if not S >> i & 1]
@@ -310,10 +298,6 @@ def cdf_integral_check(
     chunk = min(SAMPLE_CHUNK, max(1, EXTENSION_CHUNK >> (m - m // 2)))
     for start in range(0, samples, chunk):
         rows = min(chunk, samples - start)
-        if family == "beta":
-            points = rng.beta(2.0 * profile.p, 2.0 * (1.0 - profile.p), size=(rows, f.n))
-            points = points[:, outside]
-        else:
-            points = np.broadcast_to(profile.p[outside], (rows, m)).copy()
+        points = rng.beta(2.0 * profile.p, 2.0 * (1.0 - profile.p), size=(rows, f.n))[:, outside]
         draws[start : start + rows] = _eval_extension_batch(a, points)
-    return _make_estimate(draws, samples, seed)
+    return _make_estimate(draws)

@@ -152,6 +152,36 @@ class TestSelectors:
         assert format_subset(0) == "{}"
         assert format_subset(0b101) == "{1,3}"
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ["analyze", "GAME", "--p", "0.2,x"],
+                "cannot parse probabilities from '0.2,x': could not convert string to float: 'x'",
+            ),
+            (
+                ["analyze", "GAME", "--subsets", "1;2,x"],
+                "cannot parse subset '2,x': invalid literal for int() with base 10: 'x'",
+            ),
+            (
+                ["generate", "weighted-voting", "--quota", "3", "--weights", "2,x"],
+                f"{cli.WEIGHTED_VOTING_NEEDS}: could not convert string to float: 'x'",
+            ),
+            (
+                ["generate", "unanimity", "--n", "3", "--players", "1,x"],
+                f"{cli.UNANIMITY_NEEDS}: invalid literal for int() with base 10: 'x'",
+            ),
+        ],
+        ids=["p", "subsets", "weights", "players"],
+    )
+    def test_a_bad_comma_list_token_prints_one_error_line(self, argv, line, tmp_path, capsys):
+        # every comma list is read by one reader: its flag's prefix, then the conversion error
+        game = write_game(tmp_path, {"version": 1, "n": 3, "values": list(range(8))})
+        assert main([game if arg == "GAME" else arg for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {line}"]
+
 
 class TestAnalyze:
     def test_or_game_csv_rows(self, tmp_path, capsys):

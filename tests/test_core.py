@@ -285,6 +285,36 @@ class TestMultilinearExtension:
         with pytest.raises(SumOverflow, match="exact sum of 4 terms passes the float range"):
             eval_multilinear_extension(a, [1.0, 1.0])
 
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300, 1e307])
+    def test_sum_has_the_bits_of_fsum_over_the_list_of_terms(self, scale):
+        # signed zeros included (float.hex keeps the sign); where that fsum
+        # overflows, the extension raises SumOverflow
+        rng = np.random.default_rng(17)
+        for n in range(1, 13):
+            coeff_tables = [
+                rng.normal(size=1 << n) * scale,
+                np.where(rng.random(1 << n) < 0.5, -0.0, 0.0),
+                np.repeat([scale, -scale], 1 << (n - 1)),
+            ]
+            points = [
+                np.zeros(n),
+                np.ones(n),
+                np.full(n, 1e-9),
+                rng.random(n),
+                rng.choice([0.0, 1.0, 1e-9, 0.5], size=n),
+            ]
+            for coeffs in coeff_tables:
+                a = MobiusRepresentation(n, coeffs)
+                for x in points:
+                    terms = a.coeffs * subset_products(x)
+                    try:
+                        want = math.fsum(terms.tolist()).hex()
+                    except OverflowError:
+                        with pytest.raises(SumOverflow):
+                            eval_multilinear_extension(a, x)
+                        continue
+                    assert eval_multilinear_extension(a, x).hex() == want
+
 
 class TestSDifference:
     def test_empty_difference_is_identity(self):

@@ -1,6 +1,8 @@
 import math
+import re
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,3 +334,13 @@ class TestChunkedFsum:
             if terms.size:
                 terms[min(int(where * terms.size), terms.size - 1)] = value
         assert_same_sum(terms[::step])
+
+
+def test_math_fsum_is_called_in_measure_only():
+    # one exact-sum path: every other module sums through measure._fsum
+    users = [
+        path.name
+        for path in sorted(Path(measure.__file__).parent.glob("*.py"))
+        if re.search(r"\bfsum\b", path.read_text(encoding="utf-8"))
+    ]
+    assert users == ["measure.py"]

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from pbindex import (
+    MobiusRepresentation,
     PseudoBooleanFunction,
     banzhaf_influence,
     best_k_approximation,
     best_s_approximation,
     cdf_integral_check,
     cube_average,
+    eval_multilinear_extension,
     gv_p_to_q,
     influence_value_coefficients,
     interaction_table,
@@ -129,3 +131,18 @@ def test_orthonormality_check_holds_its_basis_rows_once():
         tracemalloc.stop()
     assert check.passed
     assert peak <= 1.3 * rows_bytes, f"the check peaked at {peak / rows_bytes:.2f} row tables"
+
+
+def test_multilinear_extension_sums_no_list_of_its_terms():
+    # at n = 20 the subset products and the terms take at most two 8 MiB
+    # tables; a Python list of the 2**20 terms would take 48 MiB
+    rng = np.random.default_rng(20)
+    a = MobiusRepresentation(20, rng.normal(size=1 << 20))
+    x = rng.random(20)
+    tracemalloc.start()
+    try:
+        eval_multilinear_extension(a, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 << 20, f"peaked at {peak / (1 << 20):.1f} MiB"

@@ -8,7 +8,6 @@ from pbindex import (
     MobiusRepresentation,
     PseudoBooleanFunction,
     ProbabilityProfile,
-    SampleEstimate,
     SingularSystem,
     ValidationError,
     banzhaf_influence,
@@ -29,6 +28,7 @@ from pbindex import (
     unanimity_game,
 )
 from pbindex import oracle
+from pbindex.measure import multilinear_expectation
 from pbindex.oracle import SAMPLE_CHUNK, _eval_extension_batch
 from helpers import random_game, random_profile
 
@@ -186,8 +186,6 @@ class TestMcExpectation:
             mc_expectation(OR, "identity", 0, UNIFORM2, 10, seed=0)
         with pytest.raises(ValidationError):
             mc_expectation(OR, "fourier", 0, UNIFORM2, 1000, seed=0)
-        with pytest.raises(ValidationError):
-            SampleEstimate(0.0, 0.0, 1, 0)
 
 
 class TestDiagonalQuadrature:
@@ -251,13 +249,12 @@ class TestCdfIntegral:
         assert abs(est.mean - 0.75) <= 3 * est.std_error
 
     def test_point_family_is_degenerate(self):
+        # the point mass at p integrates sigma_S fbar to its value at p, the influence index
         rng = np.random.default_rng(94)
         f = random_game(rng, 5)
         p = random_profile(rng, 5)
         S = 0b00101
-        est = cdf_integral_check(f, S, p, 1024, seed=6, family="point")
-        assert est.std_error == 0.0
-        assert abs(est.mean - banzhaf_influence(f, S, p)) <= 1e-12
+        assert abs(multilinear_expectation(p, sigma_s(f, S)) - banzhaf_influence(f, S, p)) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 6, 12])
     def test_chunked_draws_equal_one_shot_draws(self, n, monkeypatch):
@@ -282,7 +279,7 @@ class TestCdfIntegral:
                 draws = _eval_extension_batch(a, points[:, outside])
             else:
                 draws = np.full(samples, restricted[0])
-            want = oracle._make_estimate(draws, samples, samples)
+            want = oracle._make_estimate(draws)
             assert cdf_integral_check(f, S, p, samples, seed=samples) == want
 
     @pytest.mark.parametrize("n", range(1, 15))
@@ -307,8 +304,6 @@ class TestCdfIntegral:
     def test_validation(self):
         with pytest.raises(ValidationError):
             cdf_integral_check(OR, 0b01, UNIFORM2, 100, seed=0)
-        with pytest.raises(ValidationError):
-            cdf_integral_check(OR, 0b01, UNIFORM2, 1000, seed=0, family="gamma")
 
 
 class TestSeedBattery:

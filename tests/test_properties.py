@@ -292,7 +292,6 @@ def test_cdf_oracle_table_is_the_whole_lattice_table_outside_s(data, n, seed):
     p = ProbabilityProfile(data.draw(arrays(np.float64, n, elements=probs)))
     one_bit = st.integers(0, n - 1).map(lambda i: 1 << i)
     S = data.draw(st.one_of(one_bit, _masks(n), st.just((1 << n) - 1)))
-    family = data.draw(st.sampled_from(oracle.CDF_FAMILIES))
 
     whole = mobius(sigma_s(f, S)).coeffs
     meets = (np.arange(1 << n) & S) != 0
@@ -300,13 +299,10 @@ def test_cdf_oracle_table_is_the_whole_lattice_table_outside_s(data, n, seed):
     assert whole[~meets].tobytes() == oracle._switch_mobius(f, S).tobytes()
 
     samples = 1000
-    if family == "beta":
-        points = np.random.default_rng(seed).beta(2.0 * p.p, 2.0 * (1.0 - p.p), size=(samples, n))
-    else:
-        points = np.broadcast_to(p.p, (samples, n)).copy()
+    points = np.random.default_rng(seed).beta(2.0 * p.p, 2.0 * (1.0 - p.p), size=(samples, n))
     draws = oracle._eval_extension_batch(MobiusRepresentation(n, whole), points)
-    want = oracle._make_estimate(draws, samples, seed).mean
-    got = oracle.cdf_integral_check(f, S, p, samples, seed, family).mean
+    want = oracle._make_estimate(draws).mean
+    got = oracle.cdf_integral_check(f, S, p, samples, seed).mean
     assert abs(got - want) <= 1e-12 * max(1.0, float(np.sum(np.abs(whole))))
 
 
