@@ -38,11 +38,11 @@ print("== projecting onto the variables of S ==")
 S = mask_from_players([1, 2, 5], n)
 approx = best_s_approximation(f, S, p)
 print("coefficients of the approximant (only subsets of S appear):")
-print("  basis <f, v_T> in approx.fourier, aligned with the masks in approx.keys;")
-print("  unanimity u_T in approx.multilinear.coeffs, indexed by mask")
-for T, c in zip(approx.keys.tolist(), approx.fourier.tolist()):
-    print(f"  T={T:06b}: <f, v_T> {c: .6f}   u_T {approx.multilinear.coeffs[T]: .6f}")
-print(f"leading coefficient      {approx.multilinear.coeffs[S]: .6f}")
+print("  basis <f, v_T> in approx.fourier and unanimity u_T in approx.unanimity,")
+print("  both aligned with the masks in approx.keys")
+for T, c, u in zip(approx.keys.tolist(), approx.fourier.tolist(), approx.unanimity.tolist()):
+    print(f"  T={T:06b}: <f, v_T> {c: .6f}   u_T {u: .6f}")
+print(f"leading coefficient      {approx.unanimity[-1]: .6f}")
 print(f"interaction index I_B,p  {banzhaf_interaction(f, S, p): .6f}   (same number)")
 
 print()

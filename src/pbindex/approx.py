@@ -39,20 +39,29 @@ from .measure import ProbabilityProfile, _check_same_n, _weighted_product_sum
 class Approximation:
     """A projection of a game onto V_S or onto degree <= k.
 
-    ``fourier[j]`` is <f, v_{T,p}> for the included subset T = ``keys[j]``;
-    ``keys`` (int64) ascends, and both arrays are read-only.  ``multilinear``
-    is the same approximant expanded in the unanimity basis.  The index set
-    is ``keys``: the submasks of S, or the masks of at most k players.
+    Aligned read-only arrays: for T = ``keys[j]``, ``fourier[j]`` is <f, v_{T,p}>
+    and ``unanimity[j]`` the coefficient of u_T (a non-finite one raises
+    :class:`ValidationError`).  ``keys`` (int64) ascends: the submasks of S, or
+    the masks of at most k players.  ``multilinear`` is the dense view over all
+    2**n masks, 0.0 off ``keys``, built on each access.
     """
 
     n: int
     keys: np.ndarray
     fourier: np.ndarray
-    multilinear: MobiusRepresentation
+    unanimity: np.ndarray
 
     def __post_init__(self):
-        for column in (self.keys, self.fourier):
+        if not np.all(np.isfinite(self.unanimity)):
+            raise ValidationError("Mobius table contains non-finite entries")
+        for column in (self.keys, self.fourier, self.unanimity):
             column.setflags(write=False)
+
+    @property
+    def multilinear(self) -> MobiusRepresentation:
+        coeffs = np.zeros(1 << self.n)
+        coeffs[self.keys] = self.unanimity
+        return MobiusRepresentation(self.n, coeffs)
 
     def table(self) -> PseudoBooleanFunction:
         """The approximant evaluated on all vertices."""
@@ -61,22 +70,21 @@ class Approximation:
 
 def _expand_fourier(
     S: Coalition, packed: np.ndarray, profile: ProbabilityProfile
-) -> MobiusRepresentation:
+) -> np.ndarray:
     """Distribute sum_{T subseteq S} c_T prod_{i in T}(x_i - p_i)/s_i over the unanimity basis.
 
-    c_T is ``packed[j]`` for T = ``submasks(S)[j]``.  Per axis (x_i - p_i)/s_i
-    = x_i/s_i - p_i/s_i, so the inverse map sends (c0, c1) to
-    (c0 - p_i c1/s_i, c1/s_i), on the lattice of S: coefficients outside the
-    submasks of S are exactly 0.
+    c_T is ``packed[j]`` for T = ``submasks(S)[j]``, and u_T's coefficient comes
+    back at j.  Per axis (x_i - p_i)/s_i = x_i/s_i - p_i/s_i, so the inverse map
+    sends (c0, c1) to (c0 - p_i c1/s_i, c1/s_i) on the lattice of S.  An overflow
+    is left to :class:`Approximation`'s finiteness check, so numpy's warning is silenced.
     """
     maps = []
     for i, pi in enumerate(profile.p.tolist()):
         if S >> i & 1:
             s = math.sqrt(pi * (1.0 - pi))
             maps.append((1.0, -pi / s, 0.0, 1.0 / s))
-    coeffs = np.zeros(1 << profile.n)
-    coeffs[submasks(S)] = axis_map(packed, maps)
-    return MobiusRepresentation(profile.n, coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return axis_map(packed, maps)
 
 
 def _fourier_maps(profile: ProbabilityProfile, keep: Coalition) -> list[tuple[float, ...]]:
@@ -110,8 +118,7 @@ def best_s_approximation(
     _check_same_n(profile, f)
     check_mask(S, f.n)
     fourier = axis_map(f.values, _fourier_maps(profile, S))
-    multilinear = _expand_fourier(S, fourier, profile)
-    return Approximation(f.n, submasks(S), fourier, multilinear)
+    return Approximation(f.n, submasks(S), fourier, _expand_fourier(S, fourier, profile))
 
 
 def best_k_approximation(
@@ -124,9 +131,9 @@ def best_k_approximation(
     table = fourier_table(f, profile)
     kept = np.bitwise_count(np.arange(1 << f.n)) <= k
     table[~kept] = 0.0
-    multilinear = _expand_fourier(full_mask(f.n), table, profile)
+    expanded = _expand_fourier(full_mask(f.n), table, profile)
     keys = np.flatnonzero(kept)
-    return Approximation(f.n, keys, table[keys], multilinear)
+    return Approximation(f.n, keys, table[keys], expanded[keys])
 
 
 def residual_norm(

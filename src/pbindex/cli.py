@@ -40,7 +40,6 @@ from .core import (
     mask_from_players,
     players_from_mask,
     product_table,
-    submasks,
     unanimity_game,
     weighted_voting_game,
 )
@@ -336,8 +335,7 @@ def cmd_approximate(args: argparse.Namespace) -> int:
     (subset,) = picked
     approximation = approx_mod.best_s_approximation(game, subset, profile)
     residual = approx_mod.residual_norm(game, approximation, profile)
-    subsets = submasks(subset)
-    coeffs = approximation.multilinear.coeffs[subsets]
+    subsets, coeffs = approximation.keys, approximation.unanimity
     with _open_out(args.out) as out:
         if args.format == "csv":
             # I_B and the residual are rows of S alone, the last submask
@@ -566,10 +564,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code == 0 else 1  # "verification failure" here, so remap
     try:
         return args.func(args)
-    except PbindexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PbindexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -291,8 +291,8 @@ def unanimity_game(n: int, T: Coalition) -> PseudoBooleanFunction:
     """u_T: worth 1 exactly on supersets of T (u_emptyset is the constant 1)."""
     check_players(n)
     check_mask(T, n)
-    masks = np.arange(1 << n)
-    return PseudoBooleanFunction(n, ((masks & T) == T).astype(np.float64))
+    pairs = [(0.0, 1.0) if T >> i & 1 else (1.0, 1.0) for i in range(n)]
+    return PseudoBooleanFunction(n, product_table(pairs))
 
 
 # coalitions weighted_voting_game sums at a time, a power of two: OpenBLAS

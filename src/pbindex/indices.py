@@ -32,8 +32,8 @@ import numpy as np
 from .approx import best_s_approximation
 from .core import (
     Coalition,
+    MobiusRepresentation,
     PseudoBooleanFunction,
-    _butterfly_inplace,
     axis_map,
     check_mask,
     mobius,
@@ -41,6 +41,7 @@ from .core import (
     split_submasks,
     submasks,
     subset_products,
+    zeta,
 )
 from .errors import (
     DegenerateFunction,
@@ -126,10 +127,10 @@ def _influence_mobius(f, S, profile):
 
 def _influence_projection(f, S, profile):
     # f_{S,p} lives on the lattice of S: its zeta there runs from f_{S,p}(0) to f_{S,p}(S)
-    tab = best_s_approximation(f, S, profile).multilinear.coeffs[submasks(S)]
-    _butterfly_inplace(tab, S.bit_count(), np.add)
-    if not np.all(np.isfinite(tab)):
-        raise ValidationError("game table contains non-finite entries")
+    unanimity = best_s_approximation(f, S, profile).unanimity
+    if S == 0:
+        return 0.0
+    tab = zeta(MobiusRepresentation(S.bit_count(), unanimity)).values
     return float(tab[-1] - tab[0])
 
 

@@ -26,7 +26,7 @@ meaningful evidence:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .core import (
     split_submasks,
     submasks,
     subset_products,
-    zeta,
 )
 from .errors import SingularSystem, ValidationError
 from .indices import banzhaf_influence
@@ -101,14 +100,10 @@ def lsq_normal_equations(
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"Gram system for S={S:#b} is singular: {exc}") from exc
 
-    coeffs = np.zeros(1 << f.n)
-    coeffs[basis] = solution
-    multilinear = MobiusRepresentation(f.n, coeffs)
-    table = zeta(multilinear)
-    fourier = np.array(
-        [inner_product(profile, table, basis_function(profile, T)) for T in basis.tolist()]
-    )
-    return Approximation(f.n, basis, fourier, multilinear)
+    fit = Approximation(f.n, basis, np.zeros(basis.size), solution)  # fourier filled below
+    table = fit.table()
+    fourier = [inner_product(profile, table, basis_function(profile, T)) for T in basis.tolist()]
+    return replace(fit, fourier=np.array(fourier))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pbindex import (
+    Approximation,
     PseudoBooleanFunction,
     ProbabilityProfile,
+    ValidationError,
+    banzhaf_influence,
     banzhaf_interaction,
     basis_function,
     best_k_approximation,
@@ -17,6 +23,7 @@ from pbindex import (
     unanimity_game,
     zeta,
 )
+from pbindex import approx as approx_mod
 from pbindex.approx import _expand_fourier
 from pbindex.measure import _fsum
 from pbindex.core import submasks
@@ -94,14 +101,14 @@ class TestBestKApproximation:
 class TestToMultilinear:
     def test_uniform_singleton_expansion(self):
         out = _expand_fourier(0b01, np.array([0.0, 0.25]), UNIFORM2)
-        # (1/4) v_{1} = (1/2) x1 - 1/4
-        assert out.coeffs.tolist() == pytest.approx([-0.25, 0.5, 0.0, 0.0], abs=1e-15)
+        # (1/4) v_{1} = (1/2) x1 - 1/4, on the submasks 0 and {1}
+        assert out.tolist() == pytest.approx([-0.25, 0.5], abs=1e-15)
 
     def test_empty_series_expands_to_zero(self):
         p = ProbabilityProfile([0.3, 0.6, 0.9])
         for S in (0, 0b101, 0b111):
             out = _expand_fourier(S, np.zeros(1 << S.bit_count()), p)
-            assert out.coeffs.tolist() == [0.0] * 8
+            assert out.tolist() == [0.0] * (1 << S.bit_count())
 
     def test_coefficients_outside_the_union_of_keys_stay_zero(self):
         rng = np.random.default_rng(28)
@@ -109,16 +116,15 @@ class TestToMultilinear:
             n = int(rng.integers(1, 9))
             p = random_profile(rng, n)
             keys = rng.integers(0, 1 << n, size=int(rng.integers(1, 5))).tolist()
-            union = 0
-            for T in keys:
-                union |= T
-            # the series over the lattice of the union, zero off the keys
-            packed = np.zeros(1 << union.bit_count())
-            packed[np.searchsorted(submasks(union), keys)] = rng.normal(size=len(keys))
-            out = _expand_fourier(union, packed, p)
+            # the series over the whole lattice, zero off the keys; its
+            # expansion stays zero off the subsets of the keys, so off their union
+            packed = np.zeros(1 << n)
+            packed[keys] = rng.normal(size=len(keys))
+            out = _expand_fourier((1 << n) - 1, packed, p)
             outside = np.ones(1 << n, dtype=bool)
-            outside[submasks(union)] = False
-            assert np.all(out.coeffs[outside] == 0.0)
+            for T in keys:
+                outside[submasks(T)] = False
+            assert np.all(out[outside] == 0.0)
 
     def test_expansion_reconstructs_the_fourier_series(self):
         rng = np.random.default_rng(26)
@@ -202,7 +208,8 @@ class TestOptimality:
                     c + rng.uniform(-1, 1) * 10.0 ** rng.integers(-6, 1)
                     for c in approx.fourier.tolist()
                 ]
-                g = zeta(_expand_fourier(S, np.array(noisy), p))
+                unanimity = _expand_fourier(S, np.array(noisy), p)
+                g = Approximation(n, approx.keys, np.array(noisy), unanimity).table()
                 assert best <= weighted_sq_dist(p, f, g.values) + 1e-12
 
     def test_residual_is_orthogonal_to_the_subspace(self):
@@ -252,12 +259,50 @@ class TestContainers:
             lsq_normal_equations(f, S, p),
         ):
             assert approx.keys.dtype == np.int64 and approx.fourier.dtype == np.float64
-            assert approx.keys.shape == approx.fourier.shape
+            assert approx.unanimity.dtype == np.float64
+            assert approx.keys.shape == approx.fourier.shape == approx.unanimity.shape
             assert np.all(np.diff(approx.keys) > 0)
-            for column in (approx.keys, approx.fourier):
+            for column in (approx.keys, approx.fourier, approx.unanimity):
                 assert not column.flags.writeable
                 with pytest.raises(ValueError):
                     column[0] = 0
+
+    def test_unanimity_is_the_dense_view_at_the_keys(self):
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            n = int(rng.integers(1, 8))
+            f = random_game(rng, n)
+            p = random_profile(rng, n)
+            S = int(rng.integers(0, 1 << n))
+            for approx in (
+                best_s_approximation(f, S, p),
+                best_k_approximation(f, int(rng.integers(0, n + 1)), p),
+                lsq_normal_equations(f, S, p),
+            ):
+                dense = approx.multilinear.coeffs
+                assert dense[approx.keys].tobytes() == approx.unanimity.tobytes()
+                off = np.ones(1 << n, dtype=bool)
+                off[approx.keys] = False
+                assert np.all(dense[off] == 0.0)
+
+
+class TestExpansionOverflow:
+    # worths of +-1.7e308 and p_1 = 1e-9: dividing by s_1 ~ 3e-5 leaves the float range
+    GAME = PseudoBooleanFunction(3, np.array([1, -1, -1, 1, -1, 1, -1, 1]) * 1.7e308)
+    PROFILE = ProbabilityProfile([1e-9, 0.5, 1 - 1e-9])
+
+    @pytest.mark.parametrize("route", ["best_s", "best_k", "projection"])
+    def test_raises_the_mobius_table_error_without_warnings(self, route):
+        f, p = self.GAME, self.PROFILE
+        call = {
+            "best_s": lambda: best_s_approximation(f, 0b101, p),
+            "best_k": lambda: best_k_approximation(f, 2, p),
+            "projection": lambda: banzhaf_influence(f, 0b101, p, "projection"),
+        }[route]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^Mobius table contains non-finite entries$"):
+                call()
 
 
 class TestApproximationInvariants:
@@ -271,3 +316,22 @@ class TestApproximationInvariants:
         p = random_profile(rng, 4)
         approx = best_k_approximation(f, 2, p)
         assert approx.keys.tolist() == [T for T in range(16) if bin(T).count("1") <= 2]
+
+
+def _modules_matching(pattern):
+    return [
+        path.name
+        for path in sorted(Path(approx_mod.__file__).parent.glob("*.py"))
+        if re.search(pattern, path.read_text(encoding="utf-8"))
+    ]
+
+
+def test_only_approx_reads_the_dense_view():
+    # an approximation is n, keys, fourier and unanimity; its dense 2**n
+    # view is built on access, and only approx's own table() reads it
+    assert _modules_matching(r"\.multilinear\b") == ["approx.py"]
+
+
+def test_only_core_names_the_butterfly():
+    # other modules transform through core.mobius and core.zeta
+    assert _modules_matching(r"\b_butterfly_inplace\b") == ["core.py"]

@@ -456,6 +456,17 @@ class TestApproximate:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: the residual is beyond the float range")
 
+    def test_an_expansion_past_the_float_range_prints_one_error_line(self, tmp_path, capsys):
+        values = [1.7e308, -1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.7e308]
+        path = write_game(tmp_path, {"version": 1, "n": 3, "values": values})
+        argv = ["approximate", path, "--subset", "1,3", "--p", "1e-9,0.5,0.999999999"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Mobius table contains non-finite entries\n"
+
     @pytest.mark.parametrize("selector", ["1;2", "all", "pairs"])
     def test_more_than_one_subset_is_a_validation_failure(self, tmp_path, capsys, selector):
         doc = {"version": 1, "n": 3, "random": {"seed": 5}}

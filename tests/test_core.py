@@ -151,6 +151,17 @@ def _bitwise_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+class TestUnanimityGame:
+    def test_has_the_bits_of_the_superset_mask_formula(self):
+        rng = np.random.default_rng(21)
+        for n in range(1, 13):
+            masks = np.arange(1 << n)
+            picks = range(1 << n) if n <= 8 else rng.integers(0, 1 << n, size=50).tolist()
+            for T in picks:
+                want = ((masks & T) == T).astype(np.float64)
+                assert _bitwise_equal(unanimity_game(n, T).values, want)
+
+
 class TestProductTable:
     def _profiles(self):
         rng = np.random.default_rng(17)

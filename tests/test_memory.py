@@ -19,6 +19,7 @@ from pbindex import (
     interaction_table,
     mobius,
     shapley_generalized_value,
+    unanimity_game,
 )
 from pbindex import cli
 from helpers import random_game, random_profile
@@ -146,3 +147,17 @@ def test_multilinear_extension_sums_no_list_of_its_terms():
     finally:
         tracemalloc.stop()
     assert peak <= 24 << 20, f"peaked at {peak / (1 << 20):.1f} MiB"
+
+
+def test_unanimity_game_holds_its_table_and_one_frozen_copy():
+    # at n = 20 the 0/1 product table, the game's frozen copy and the
+    # constructor's one-byte finiteness mask: 2.125 tables of 8 MiB
+    table_bytes = 8 << 20
+    unanimity_game(20, 0b1011)
+    tracemalloc.start()
+    try:
+        unanimity_game(20, 0b1011)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * table_bytes, f"peaked at {peak / table_bytes:.2f} tables"
