@@ -42,8 +42,9 @@ class Approximation:
     Aligned read-only arrays: for T = ``keys[j]``, ``fourier[j]`` is <f, v_{T,p}>
     and ``unanimity[j]`` the coefficient of u_T (a non-finite one raises
     :class:`ValidationError`).  ``keys`` (int64) ascends: the submasks of S, or
-    the masks of at most k players.  ``multilinear`` is the dense view over all
-    2**n masks, 0.0 off ``keys``, built on each access.
+    the masks of at most k players.  Its values depend on the players of U, the
+    union of ``keys``, only.  ``multilinear`` is the dense view over all 2**n
+    masks, 0.0 off ``keys``, built on each access; no route reads it.
     """
 
     n: int
@@ -63,9 +64,37 @@ class Approximation:
         coeffs[self.keys] = self.unanimity
         return MobiusRepresentation(self.n, coeffs)
 
+    def lattice_values(self) -> np.ndarray:
+        """The approximant on the ascending submasks of U, by a zeta there (U = 0: the constant).
+
+        A value past the float range raises :class:`ValidationError`.
+        """
+        U = int(np.bitwise_or.reduce(self.keys))
+        if U == 0:
+            return self.unanimity
+        coeffs = self.unanimity
+        if coeffs.size < 1 << U.bit_count():  # 0.0 on the submasks of U that are not keys
+            coeffs = np.zeros(1 << U.bit_count())
+            low = U == coeffs.size - 1  # U of low bits, as N: a key is its own position
+            coeffs[self.keys if low else np.searchsorted(submasks(U), self.keys)] = self.unanimity
+        coeffs = MobiusRepresentation(U.bit_count(), coeffs)  # the scatter is freed before the zeta
+        return zeta(coeffs).values
+
+    def _broadcastable(self) -> np.ndarray:
+        # lattice_values() on the (2,) * n view of a table (axis 0 the highest player)
+        U = int(np.bitwise_or.reduce(self.keys))
+        return self.lattice_values().reshape([2 if U >> i & 1 else 1 for i in reversed(range(self.n))])
+
     def table(self) -> PseudoBooleanFunction:
-        """The approximant evaluated on all vertices."""
-        return zeta(self.multilinear)
+        """The approximant on all vertices: :meth:`lattice_values` broadcast over N - U.
+
+        Off the lattice of U a dense zeta of ``multilinear`` adds 0.0, which
+        turns -0.0 into 0.0; this adds it too, so the bits are the same.
+        """
+        lattice = self._broadcastable()
+        values = np.add(lattice, 0.0, out=np.empty((2,) * self.n))
+        values[tuple(slice(None) if k == 2 else 0 for k in lattice.shape)] = lattice.squeeze()
+        return PseudoBooleanFunction(self.n, values.reshape(-1))
 
 
 def _expand_fourier(
@@ -147,5 +176,8 @@ def residual_norm(
     _check_same_n(profile, f)
     if approx.n != f.n:
         raise DimensionError(f"approximation has n={approx.n} but game has n={f.n}")
-    diff = f.values - approx.table().values
+    # the only dense table; off U a zero's sign may differ from table()'s, and squares
+    # away.  A difference past the float range fails the residual's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.subtract(f.values.reshape((2,) * f.n), approx._broadcastable()).reshape(-1)
     return _weighted_product_sum(profile, diff, diff, "the residual")

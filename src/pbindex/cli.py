@@ -240,11 +240,14 @@ def write_rows(
         rows = []
         for head, column in zip(heads, columns.values()):
             column = column[part]
-            lines = [
-                f"{pre}{head}{value:{VALUE_SPEC}}\n" for pre, value in zip(pres, column.tolist())
-            ]
-            for k in np.flatnonzero(np.isnan(column)).tolist():
-                lines[k] = ""  # a NaN writes no row
+            keep = ~np.isnan(column)
+            values = column.tolist()
+            if keep.all():
+                lines = [f"{pre}{head}{value:{VALUE_SPEC}}\n" for pre, value in zip(pres, values)]
+            else:  # a NaN writes no row, and only the other cells are formatted
+                lines = [""] * len(values)
+                for k in np.flatnonzero(keep).tolist():
+                    lines[k] = f"{pres[k]}{head}{values[k]:{VALUE_SPEC}}\n"
             rows.append(lines)
         # subset by subset, its rows in column order
         out.write("".join(itertools.chain.from_iterable(zip(*rows))))

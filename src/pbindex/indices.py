@@ -32,7 +32,6 @@ import numpy as np
 from .approx import best_s_approximation
 from .core import (
     Coalition,
-    MobiusRepresentation,
     PseudoBooleanFunction,
     axis_map,
     check_mask,
@@ -41,7 +40,6 @@ from .core import (
     split_submasks,
     submasks,
     subset_products,
-    zeta,
 )
 from .errors import (
     DegenerateFunction,
@@ -126,12 +124,9 @@ def _influence_mobius(f, S, profile):
 
 
 def _influence_projection(f, S, profile):
-    # f_{S,p} lives on the lattice of S: its zeta there runs from f_{S,p}(0) to f_{S,p}(S)
-    unanimity = best_s_approximation(f, S, profile).unanimity
-    if S == 0:
-        return 0.0
-    tab = zeta(MobiusRepresentation(S.bit_count(), unanimity)).values
-    return float(tab[-1] - tab[0])
+    # f_{S,p} lives on the lattice of S, from f_{S,p}(0) to f_{S,p}(S)
+    values = best_s_approximation(f, S, profile).lattice_values()
+    return float(values[-1] - values[0])
 
 
 def _influence_average(f, S, profile):
@@ -516,18 +511,22 @@ def index_report(
     masks = _mask_array(subsets, f.n)
     mean = expectation(profile, f)
     # sigma_f and Phi are taken for f / 2**e, the scale of f - E[f], so no
-    # square overflows; r keeps its bits wherever products stay normal
-    centered = f.values - mean
+    # square overflows; r keeps its bits wherever products stay normal.  A
+    # difference past the float range fails the variance's check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = f.values - mean
     scale = math.ldexp(1.0, -_scale_exponent(centered))
     scaled = centered * scale
     sigma_f = math.sqrt(_weighted_product_sum(profile, scaled, scaled, "the variance"))
     if np.unique(masks).size > f.n:
         p = profile.p.tolist()
-        interaction = _interaction_values(f.values, p)
-        # Phi and the Shapley value ignore constants; I(0) = E[f] centers f
-        centered = f.values - interaction[0]
-        influence = _influence_values(centered, p)[masks]
-        shapley = _shapley_values(centered, f.n)[masks]
+        # a table past the float range holds inf or nan, which the check below names
+        with np.errstate(over="ignore", invalid="ignore"):
+            interaction = _interaction_values(f.values, p)
+            # Phi and the Shapley value ignore constants; I(0) = E[f] centers f
+            centered = f.values - interaction[0]
+            influence = _influence_values(centered, p)[masks]
+            shapley = _shapley_values(centered, f.n)[masks]
         interaction = interaction[masks]
         # g_std for every S at once, multiplied in the same order
         sigma_g = np.sqrt(

@@ -187,8 +187,9 @@ def _weighted_product_sum(profile: ProbabilityProfile, a, b, what: str) -> float
         a, b = np.ldexp(a, -ea), np.ldexp(b, -eb)
     else:  # |w a b| < 2**1022: the plain sum cannot overflow
         ea = eb = 0
-    terms = profile.weights() * a
-    terms *= b
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        terms = profile.weights() * a
+        terms *= b
     total = _fsum(terms)
     if math.isfinite(total) and math.frexp(total)[1] + ea + eb <= 1024:
         return math.ldexp(total, ea + eb)

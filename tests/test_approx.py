@@ -25,12 +25,14 @@ from pbindex import (
 )
 from pbindex import approx as approx_mod
 from pbindex.approx import _expand_fourier
-from pbindex.measure import _fsum
+from pbindex.errors import PbindexError
+from pbindex.measure import _fsum, _weighted_product_sum
 from pbindex.core import submasks
 from helpers import random_game, random_profile
 
 OR = PseudoBooleanFunction(2, [0, 1, 1, 1])
 UNIFORM2 = ProbabilityProfile.uniform(2)
+UNIFORM3 = ProbabilityProfile.uniform(3)
 
 
 def weighted_sq_dist(profile, f, g_values):
@@ -305,6 +307,105 @@ class TestExpansionOverflow:
                 call()
 
 
+def _outcome(call):
+    # the bits of a float result, or the type and message of what it raised
+    try:
+        return np.asarray(call(), dtype=np.float64).tobytes()
+    except PbindexError as exc:
+        return type(exc), str(exc)
+
+
+def _lattice_case(rng, k):
+    # case k: an n-player game of one of four kinds at one of three scales, and a profile
+    n = 1 + k % 12
+    size = 1 << n
+    values = [
+        rng.random(size),
+        rng.standard_normal(size),
+        rng.standard_normal(size) * (rng.random(size) < 0.25),
+        unanimity_game(n, int(rng.integers(0, size))).values,
+    ][k // 12 % 4] * (1.0, 1e-300, 1e300)[k // 48 % 3]
+    p = [
+        rng.uniform(1e-9, 1.0 - 1e-9, n),
+        np.full(n, 0.5),
+        rng.choice([1e-9, 1.0 - 1e-9, rng.uniform(0.05, 0.95)], n),
+    ][k // 144 % 3]
+    return PseudoBooleanFunction(n, values), ProbabilityProfile(p)
+
+
+class TestLatticeEvaluation:
+    # the approximant on the lattice of U, broadcast, against a dense zeta of
+    # its coefficients over all 2**n masks, as table() was computed before
+
+    def test_matches_the_dense_zeta_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        cases = 0
+        for k in range(432):
+            f, p = _lattice_case(rng, k)
+            n = f.n
+            for S in (0, (1 << n) - 1, int(rng.integers(0, 1 << n))):
+                built = [
+                    lambda: best_s_approximation(f, S, p),
+                    lambda: best_k_approximation(f, int(rng.integers(0, n + 1)), p),
+                ]
+                if S.bit_count() <= 6:  # its Gram system has 2**|S| rows
+                    built.append(lambda: lsq_normal_equations(f, S, p))
+                for make in built:
+                    try:
+                        approx = make()
+                    except PbindexError:  # an expansion past the float range, or a singular Gram system
+                        continue
+                    cases += 1
+
+                    def dense():
+                        return zeta(approx.multilinear).values
+
+                    def dense_residual():
+                        diff = f.values - dense()
+                        return _weighted_product_sum(p, diff, diff, "the residual")
+
+                    assert _outcome(lambda: approx.table().values) == _outcome(dense)
+                    assert _outcome(lambda: residual_norm(f, approx, p)) == _outcome(dense_residual)
+
+                def dense_projection():
+                    table = zeta(best_s_approximation(f, S, p).multilinear).values
+                    return float(table[S] - table[0])
+
+                projection = _outcome(lambda: banzhaf_influence(f, S, p, "projection"))
+                assert projection == _outcome(dense_projection)
+        assert cases >= 1000
+
+    def test_a_lattice_past_the_float_range_raises_the_game_table_error(self):
+        # each coefficient is finite, their sum at {1,2} is not
+        approx = Approximation(3, submasks(0b011), np.zeros(4), np.array([0.0, 1.5e308, 1.5e308, 0.0]))
+        f = PseudoBooleanFunction(3, np.zeros(8))
+        for call in (approx.lattice_values, approx.table, lambda: residual_norm(f, approx, UNIFORM3)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match="^game table contains non-finite entries$"):
+                    call()
+
+    def test_lattice_values_cover_the_submasks_of_the_union_of_keys(self):
+        rng = np.random.default_rng(42)
+        f, p = random_game(rng, 6), random_profile(rng, 6)
+        # best_k at k = 2 and ``sparse`` leave submasks of U out of their keys:
+        # U = N, and U = {2,3,5}
+        sparse = Approximation(6, np.array([0, 0b10, 0b10100]), np.zeros(3), np.array([1.0, 2.0, -4.0]))
+        for approx, size in (
+            (best_s_approximation(f, 0b100101, p), 8),
+            (best_s_approximation(f, 0, p), 1),
+            (best_k_approximation(f, 0, p), 1),
+            (best_k_approximation(f, 2, p), 64),
+            (sparse, 8),
+        ):
+            values = approx.lattice_values()
+            assert values.size == size
+            U = int(np.bitwise_or.reduce(approx.keys))
+            assert values.tobytes() == approx.table().values[submasks(U)].tobytes()
+            assert approx.table().values.tobytes() == zeta(approx.multilinear).values.tobytes()
+        assert sparse.lattice_values().tolist() == [1.0, 3.0, 1.0, 3.0, 1.0, 3.0, -3.0, -1.0]
+
+
 class TestApproximationInvariants:
     def test_degree_bounds_validated(self):
         with pytest.raises(Exception):
@@ -326,10 +427,15 @@ def _modules_matching(pattern):
     ]
 
 
-def test_only_approx_reads_the_dense_view():
+def test_no_module_reads_the_dense_view():
     # an approximation is n, keys, fourier and unanimity; its dense 2**n
-    # view is built on access, and only approx's own table() reads it
-    assert _modules_matching(r"\.multilinear\b") == ["approx.py"]
+    # view is built on access, and no route reads it
+    assert _modules_matching(r"\.multilinear\b") == []
+
+
+def test_only_approx_and_core_run_zeta():
+    # an approximation is evaluated by approx alone, on the lattice of its keys
+    assert _modules_matching(r"\bzeta\(") == ["approx.py", "core.py"]
 
 
 def test_only_core_names_the_butterfly():

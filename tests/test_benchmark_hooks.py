@@ -6,11 +6,13 @@ break only the traced benchmark run; these tests make it fail here too.
 The gate checks ``analyze`` against other routes (r through
 ``measure.variance``), ``approximate`` against ``oracle.lsq_normal_equations``
 and ``approx.residual_norm``, and ``verify`` by its PASS lines, so a change
-the gate would refuse fails here before the benchmark runs.
+the gate would refuse fails here before the benchmark runs; so does one that
+lets ``verify --inject-fault``, the benchmark's negative control, pass.
 """
 
 import importlib
 import json
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -62,6 +64,31 @@ def test_gate_passes_approximate_and_reports_a_corrupt_value(monkeypatch, tmp_pa
     cmd.out.write_text("\n".join(lines) + "\n")
     problems = gate.check_approximate(cmd)
     assert len(problems) == 1 and problems[0].startswith("residual{0b101101}")
+
+
+def test_gate_passes_approximate_on_the_empty_and_the_grand_coalition(monkeypatch, tmp_path):
+    # S = 0 and S = N: the lattice of the keys is a single constant, or every mask
+    workloads = _load(monkeypatch, "workloads")
+    gate = _load(monkeypatch, "gate")
+    from pbindex import cli
+
+    game = workloads.make_game(2027, "hooks", 6, tmp_path)
+    for S in (0, 0b111111):
+        cmd = workloads._approximate(game, S, tmp_path / f"approx-{S}.csv")
+        assert cli.main(cmd.argv) == 0
+        assert gate.check_approximate(cmd) == []
+
+
+def test_negative_control_exits_two_in_a_fresh_process(monkeypatch, tmp_path):
+    workloads = _load(monkeypatch, "workloads")
+    run = _load(monkeypatch, "run")
+
+    game = workloads.make_game(2027, "hooks", 6, tmp_path)
+    cmd = workloads._verify(game, 11, tmp_path / "control.txt", inject_fault=True)
+    # the child run.negative_control starts: python -m pbindex.cli, src on PYTHONPATH
+    proc = run._run_child([sys.executable, "-m", "pbindex.cli", *cmd.argv], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert cmd.out.read_text().splitlines()[-1] == "verification failed: four-way-influence"
 
 
 def test_gate_passes_analyze_on_both_routes_and_reports_a_corrupt_r(monkeypatch, tmp_path):

@@ -27,6 +27,9 @@ from pbindex.cli import (
 from pbindex.core import product_table
 
 OR_DOC = {"version": 1, "n": 2, "values": [0, 1, 1, 1]}
+# worths of +-1.7e308, and a profile near the interior bound
+HUGE_DOC = {"version": 1, "n": 3, "values": [x * 1.7e308 for x in (1, -1, -1, 1, -1, 1, -1, 1)]}
+EDGE_P = ["--p", "1e-9,0.5,0.999999999"]
 
 
 def write_game(tmp_path, doc, name="game.json"):
@@ -209,6 +212,30 @@ class TestAnalyze:
                 lines = capsys.readouterr().out.splitlines()
                 assert [line for line in lines if ",r," in line] == want
 
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            # f - E[f] and the variance's weighted squares overflow; the default
+            # 'all' takes the tables route, one subset the per-subset route
+            (EDGE_P, "the variance is beyond the float range (the worths overflow)"),
+            (EDGE_P + ["--subsets", "1"], "the variance is beyond the float range (the worths overflow)"),
+            # the variance stays finite, and the tables overflow
+            (
+                ["--p", "0.3"],
+                "indexes of subset 0b1 are not finite: I = nan, Phi = 6.799999999999993e+306, "
+                "Shapley = nan (the worths overflow)",
+            ),
+        ],
+    )
+    def test_worths_past_the_float_range_print_one_error_line(self, tmp_path, capsys, args, error):
+        argv = ["analyze", write_game(tmp_path, HUGE_DOC), *args]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
     def test_scalar_profile_replication(self, tmp_path, capsys):
         rc = main(["analyze", write_game(tmp_path, OR_DOC), "--p", "0.25", "--subsets", "1"])
         assert rc == 0
@@ -375,6 +402,9 @@ class TestAnalyze:
                 # the analyze columns, and approximate's shape: NaN except on the last subset
                 last = np.full(len(subsets), np.nan)
                 last[-1:] = report.influence[-1:]
+                # and NaN on both sides of every chunk boundary
+                edge = np.arange(len(subsets)) % 7
+                straddle = np.where((edge == 0) | (edge == 6), np.nan, report.shapley)
                 for columns in (
                     {
                         "I_B": report.interaction,
@@ -383,6 +413,7 @@ class TestAnalyze:
                         "r": report.correlation,
                     },
                     {"coeff": report.shapley, "I_B": last, "residual": last},
+                    {"Phi_Sh": straddle, "r": report.correlation},
                 ):
                     want, got = io.StringIO(), io.StringIO()
                     self._row_writer(report.subsets, columns, 11, fmt, want)
@@ -456,10 +487,18 @@ class TestApproximate:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: the residual is beyond the float range")
 
+    def test_a_difference_past_the_float_range_prints_one_error_line(self, tmp_path, capsys):
+        # f - f_{S,p} overflows before the residual's check
+        argv = ["approximate", write_game(tmp_path, HUGE_DOC), "--subset", "3", "--p", "0.3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the residual is beyond the float range (the worths overflow)\n"
+
     def test_an_expansion_past_the_float_range_prints_one_error_line(self, tmp_path, capsys):
-        values = [1.7e308, -1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.7e308]
-        path = write_game(tmp_path, {"version": 1, "n": 3, "values": values})
-        argv = ["approximate", path, "--subset", "1,3", "--p", "1e-9,0.5,0.999999999"]
+        argv = ["approximate", write_game(tmp_path, HUGE_DOC), "--subset", "1,3", *EDGE_P]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == 1

@@ -18,6 +18,7 @@ from pbindex import (
     influence_value_coefficients,
     interaction_table,
     mobius,
+    residual_norm,
     shapley_generalized_value,
     unanimity_game,
 )
@@ -161,3 +162,24 @@ def test_unanimity_game_holds_its_table_and_one_frozen_copy():
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * table_bytes, f"peaked at {peak / table_bytes:.2f} tables"
+
+
+@pytest.mark.parametrize("call", ["table", "residual_norm"])
+def test_an_approximation_is_broadcast_from_the_lattice_of_its_keys(call):
+    # at n = 20 with |S| = 4 the approximant's 16 values fill one 8 MiB table:
+    # table() adds the game's frozen copy and its finiteness mask (2.125
+    # tables), residual_norm the difference from the game and its weighted
+    # terms.  The profile's weights are cached, as after any expectation.
+    table_bytes = 8 << 20
+    rng = np.random.default_rng(20)
+    f = random_game(rng, 20)
+    p = random_profile(rng, 20)
+    approx = best_s_approximation(f, 0b1000_0100_0010_0001 << 4, p)
+    p.weights()
+    tracemalloc.start()
+    try:
+        approx.table() if call == "table" else residual_norm(f, approx, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * table_bytes, f"{call} peaked at {peak / table_bytes:.2f} tables"
