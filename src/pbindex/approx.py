@@ -65,35 +65,38 @@ class Approximation:
         return MobiusRepresentation(self.n, coeffs)
 
     def lattice_values(self) -> np.ndarray:
-        """The approximant on the ascending submasks of U, by a zeta there (U = 0: the constant).
+        """The approximant on the ascending submasks of U, by one zeta there.
 
         A value past the float range raises :class:`ValidationError`.
         """
-        U = int(np.bitwise_or.reduce(self.keys))
-        if U == 0:
-            return self.unanimity
-        coeffs = self.unanimity
-        if coeffs.size < 1 << U.bit_count():  # 0.0 on the submasks of U that are not keys
-            coeffs = np.zeros(1 << U.bit_count())
-            low = U == coeffs.size - 1  # U of low bits, as N: a key is its own position
-            coeffs[self.keys if low else np.searchsorted(submasks(U), self.keys)] = self.unanimity
-        coeffs = MobiusRepresentation(U.bit_count(), coeffs)  # the scatter is freed before the zeta
-        return zeta(coeffs).values
+        return self._broadcastable().reshape(-1)
 
     def _broadcastable(self) -> np.ndarray:
-        # lattice_values() on the (2,) * n view of a table (axis 0 the highest player)
+        # the lattice values as a (2,) * n table (axis 0 the highest player), extent 1 off U
         U = int(np.bitwise_or.reduce(self.keys))
-        return self.lattice_values().reshape([2 if U >> i & 1 else 1 for i in reversed(range(self.n))])
+        values = self.unanimity  # U = 0: the constant
+        if U:
+            if values.size < 1 << U.bit_count():  # 0.0 on the submasks of U that are not keys
+                values = np.zeros(1 << U.bit_count())
+                low = U == values.size - 1  # U of low bits, as N: a key is its own position
+                values[self.keys if low else np.searchsorted(submasks(U), self.keys)] = self.unanimity
+            values = MobiusRepresentation(U.bit_count(), values)  # the scatter is freed before the zeta
+            values = zeta(values).values
+        return values.reshape([2 if U >> i & 1 else 1 for i in reversed(range(self.n))])
 
     def table(self) -> PseudoBooleanFunction:
         """The approximant on all vertices: :meth:`lattice_values` broadcast over N - U.
 
-        Off the lattice of U a dense zeta of ``multilinear`` adds 0.0, which
-        turns -0.0 into 0.0; this adds it too, so the bits are the same.
+        Off the lattice it adds 0.0 (-0.0 becomes 0.0), as a dense zeta of ``multilinear`` does.
         """
         lattice = self._broadcastable()
-        values = np.add(lattice, 0.0, out=np.empty((2,) * self.n))
-        values[tuple(slice(None) if k == 2 else 0 for k in lattice.shape)] = lattice.squeeze()
+        values = np.empty((2,) * self.n)
+        index = [slice(None)] * self.n
+        for axis in np.flatnonzero(np.array(lattice.shape) == 1).tolist():
+            index[axis] = slice(1, 2)  # this player outside U in, the ones before it out
+            np.add(lattice, 0.0, out=values[tuple(index)])
+            index[axis] = slice(0, 1)
+        values[tuple(index)] = lattice  # on the lattice: every player outside U out
         return PseudoBooleanFunction(self.n, values.reshape(-1))
 
 
@@ -176,8 +179,7 @@ def residual_norm(
     _check_same_n(profile, f)
     if approx.n != f.n:
         raise DimensionError(f"approximation has n={approx.n} but game has n={f.n}")
-    # the only dense table; off U a zero's sign may differ from table()'s, and squares
-    # away.  A difference past the float range fails the residual's check
+    # the only dense table (a zero's sign off U squares away); an overflow fails the check
     with np.errstate(over="ignore", invalid="ignore"):
         diff = np.subtract(f.values.reshape((2,) * f.n), approx._broadcastable()).reshape(-1)
     return _weighted_product_sum(profile, diff, diff, "the residual")

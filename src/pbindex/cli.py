@@ -239,16 +239,11 @@ def write_rows(
         pres = [prefix(label(S)) for S in subsets[part].tolist()]
         rows = []
         for head, column in zip(heads, columns.values()):
-            column = column[part]
-            keep = ~np.isnan(column)
-            values = column.tolist()
-            if keep.all():
-                lines = [f"{pre}{head}{value:{VALUE_SPEC}}\n" for pre, value in zip(pres, values)]
-            else:  # a NaN writes no row, and only the other cells are formatted
-                lines = [""] * len(values)
-                for k in np.flatnonzero(keep).tolist():
-                    lines[k] = f"{pres[k]}{head}{values[k]:{VALUE_SPEC}}\n"
-            rows.append(lines)
+            # a NaN (value != value) writes no row and is not formatted
+            rows.append([
+                f"{pre}{head}{value:{VALUE_SPEC}}\n" if value == value else ""
+                for pre, value in zip(pres, column[part].tolist())
+            ])
         # subset by subset, its rows in column order
         out.write("".join(itertools.chain.from_iterable(zip(*rows))))
 
