@@ -342,10 +342,11 @@ def cmd_approximate(args: argparse.Namespace) -> int:
             columns = {"coeff": coeffs, "I_B": only_s[0], "residual": only_s[1]}
             write_rows(subsets, columns, game.n, "csv", out)
         else:
-            out.write(f"best approximation on variables {format_subset(subset)}\n")
+            label = _subset_labeler(game.n)
+            out.write(f"best approximation on variables {label(subset)}\n")
             for T, coeff in zip(subsets.tolist(), coeffs.tolist()):
                 marker = "  (leading coefficient = interaction index I_B)" if T == subset else ""
-                out.write(f"  coeff u_{format_subset(T)} = {coeff:{VALUE_SPEC}}{marker}\n")
+                out.write(f"  coeff u_{label(T)} = {coeff:{VALUE_SPEC}}{marker}\n")
             out.write(f"  residual = {residual:{VALUE_SPEC}}\n")
     return 0
 

@@ -99,7 +99,9 @@ def g_function(S: Coalition, profile: ProbabilityProfile) -> PseudoBooleanFuncti
     expectation under C is 0, and g_{S,p} vanishes identically for S = 0.
     """
     check_mask(S, profile.n)
-    return PseudoBooleanFunction(profile.n, _g_values(S, profile, np.arange(1 << profile.n)))
+    inv_p, inv_q = _g_levels(S, profile)
+    T = np.arange(1 << profile.n)
+    return PseudoBooleanFunction(profile.n, ((T & S) == S) * inv_p - ((T & S) == 0) * inv_q)
 
 
 def _g_levels(S: Coalition, profile: ProbabilityProfile):
@@ -109,11 +111,6 @@ def _g_levels(S: Coalition, profile: ProbabilityProfile):
     inv_p = math.prod(1.0 / profile.p[i] for i in bits)
     inv_q = math.prod(1.0 / (1.0 - profile.p[i]) for i in bits)
     return inv_p, inv_q
-
-
-def _g_values(S: Coalition, profile: ProbabilityProfile, masks: np.ndarray) -> np.ndarray:
-    inv_p, inv_q = _g_levels(S, profile)
-    return ((masks & S) == S) * inv_p - ((masks & S) == 0) * inv_q
 
 
 def _influence_mobius(f, S, profile):
@@ -135,12 +132,12 @@ def _influence_average(f, S, profile):
 
 
 def _influence_inner_product(f, S, profile):
-    # <f, g_{S,p}> over the support of g_{S,p} only: the T that contain S or
-    # miss it.  The dropped terms are exact zeros, which leave the correctly
-    # rounded sum unchanged, so this equals the dense inner product bitwise.
+    # <f, g_{S,p}> over the support of g_{S,p} only: 1/p_S on the T = D | S that
+    # contain S, -1/q_S on the T = D that miss it.  The dropped terms are exact
+    # zeros, so this is the dense sum bitwise (for S = 0 the halves cancel to 0.0).
     D, _ = split_submasks(S, f.n)
-    T = np.concatenate([D | S, D])
-    return _fsum(profile.weights()[T] * f.values[T] * _g_values(S, profile, T))
+    w, (inv_p, inv_q) = profile.weights(), _g_levels(S, profile)
+    return _fsum(np.concatenate([w[T] * f.values[T] * g for T, g in ((D | S, inv_p), (D, -inv_q))]))
 
 
 _INFLUENCE_DISPATCH = {
@@ -429,10 +426,18 @@ def interaction_table(f: PseudoBooleanFunction, profile: ProbabilityProfile) -> 
 
     A read-only float64 array.  One pass of the per-axis map
     (1-p_i, p_i; -1, 1) over the game table: O(n 2**n) in total, against
-    O(2**n) per subset for :func:`banzhaf_interaction`.
+    O(2**n) per subset for :func:`banzhaf_interaction`.  A
+    :class:`ValidationError` names the first subset whose I is not finite.
     """
     _check_same_n(profile, f)
-    table = _interaction_values(f.values, profile.p.tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _interaction_values(f.values, profile.p.tolist())
+    finite = np.isfinite(table)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValidationError(
+            f"indexes of subset {k:#b} are not finite: I = {float(table[k])!r} (the worths overflow)"
+        )
     table.setflags(write=False)
     return table
 

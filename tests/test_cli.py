@@ -12,7 +12,9 @@ from pbindex import (
     ProbabilityProfile,
     ValidationError,
     basis_function,
+    best_s_approximation,
     index_report,
+    residual_norm,
 )
 from pbindex import cli, indices, measure
 from pbindex.cli import (
@@ -461,6 +463,27 @@ class TestApproximate:
         rc = main(["approximate", write_game(tmp_path, OR_DOC), "--subset", "1"])
         assert rc == 0
         assert "interaction index" in capsys.readouterr().out
+
+    def test_text_labels_come_from_the_row_labeler(self, tmp_path, capsys, monkeypatch):
+        # players 10 and 11 give two-digit labels; the reference is built with format_subset
+        path = write_game(tmp_path, {"version": 1, "n": 11, "random": {"seed": 4}})
+        S = 0b110_0000_0101
+        game, profile = parse_game(path), ProbabilityProfile.constant(11, 0.3)
+        approximation = best_s_approximation(game, S, profile)
+        residual = residual_norm(game, approximation, profile)
+        expected = f"best approximation on variables {format_subset(S)}\n"
+        for T, coeff in zip(approximation.keys.tolist(), approximation.unanimity.tolist()):
+            marker = "  (leading coefficient = interaction index I_B)" if T == S else ""
+            expected += f"  coeff u_{format_subset(T)} = {coeff:.12g}{marker}\n"
+        expected += f"  residual = {residual:.12g}\n"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("approximate labelled a coefficient with format_subset")
+
+        monkeypatch.setattr(cli, "format_subset", refuse)
+        assert main(["approximate", path, "--subset", "1,3,10,11", "--p", "0.3"]) == 0
+        assert capsys.readouterr().out == expected
+        assert "{1,3,10,11}" in expected
 
     def test_csv_rows_are_pinned(self, tmp_path, capsys):
         path = write_game(tmp_path, OR_DOC)

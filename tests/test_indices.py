@@ -36,7 +36,8 @@ from pbindex import (
     unanimity_game,
 )
 from pbindex import indices
-from pbindex.core import submasks
+from pbindex.core import split_submasks, submasks
+from pbindex.measure import _fsum
 from pbindex.indices import INFLUENCE_METHODS
 from helpers import (
     bits_of,
@@ -373,6 +374,16 @@ class TestGeneralizedValueCoefficients:
 
 
 class TestTableContainers:
+    def test_interaction_table_past_the_float_range_names_the_subset(self):
+        f = PseudoBooleanFunction(3, np.array([1, -1, -1, 1, -1, 1, -1, 1]) * 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning escapes
+            with pytest.raises(
+                ValidationError,
+                match=r"^indexes of subset 0b1 are not finite: I = nan \(the worths overflow\)$",
+            ):
+                interaction_table(f, ProbabilityProfile.constant(3, 0.3))
+
     def test_interaction_table_is_a_read_only_array_indexed_by_mask(self):
         table = interaction_table(OR, UNIFORM2)
         assert table.dtype == np.float64 and table.shape == (4,)
@@ -440,6 +451,69 @@ class TestContrastFunction:
 
     def test_uniform_singleton_std_is_two(self):
         assert g_std(0b01, UNIFORM2) == 2.0
+
+
+def _outcome(call):
+    # float.hex of a float, the bytes of an array, or the type and message of what was raised
+    try:
+        with np.errstate(all="ignore"):
+            result = call()
+    except Exception as exc:  # SumOverflow, ValidationError, or math.fsum's ValueError on inf - inf
+        return type(exc), str(exc)
+    return result.hex() if isinstance(result, float) else result.tobytes()
+
+
+def _mask_test_g(T, S, p):
+    # reference: g_{S,p} at the masks T by two mask tests per entry
+    bits = [i for i in range(p.n) if S >> i & 1]
+    inv_p = math.prod(1.0 / p.p[i] for i in bits)
+    inv_q = math.prod(1.0 / (1.0 - p.p[i]) for i in bits)
+    return ((T & S) == S) * inv_p - ((T & S) == 0) * inv_q
+
+
+def _mask_test_inner_product(f, S, p):
+    # <f, g_{S,p}> on the support of g_{S,p}, every term's g by the mask tests
+    D, _ = split_submasks(S, f.n)
+    T = np.concatenate([D | S, D])
+    return _fsum(p.weights()[T] * f.values[T] * _mask_test_g(T, S, p))
+
+
+def _inner_product_case(rng, k):
+    # case k: n = 1..12, S = 0, N or random, three kinds of profile, four scales of worths
+    n = 1 + k % 12
+    S = (0, (1 << n) - 1, int(rng.integers(0, 1 << n)))[k // 12 % 3]
+    p = [
+        rng.uniform(1e-9, 1.0 - 1e-9, n),
+        np.full(n, 0.5),
+        rng.choice([1e-9, 1.0 - 1e-9, rng.uniform(0.05, 0.95)], n),
+    ][k // 36 % 3]
+    values = rng.standard_normal(1 << n)
+    if k // 108 % 4 == 3:
+        values = np.where(values < 0.0, -1.7e308, 1.7e308)
+    else:
+        values *= (1.0, 1e-300, 1e300)[k // 108 % 4]
+    return PseudoBooleanFunction(n, values), S, ProbabilityProfile(p)
+
+
+class TestInnerProductHalves:
+    # the inner-product route multiplies the gathered halves D | S and D by
+    # 1/p_S and -1/q_S; the reference tests the mask of every term
+
+    def test_matches_the_mask_test_formula_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        errors = 0
+        for k in range(1296):
+            f, S, p = _inner_product_case(rng, k)
+            route = _outcome(lambda: banzhaf_influence(f, S, p, "inner-product"))
+            assert route == _outcome(lambda: _mask_test_inner_product(f, S, p))
+            g = _outcome(lambda: g_function(S, p).values)
+            assert g == _outcome(lambda: _mask_test_g(np.arange(1 << f.n), S, p))
+            report = _outcome(lambda: index_report(f, p, [S]).influence)
+            with monkeypatch.context() as m:
+                m.setitem(indices._INFLUENCE_DISPATCH, "inner-product", _mask_test_inner_product)
+                assert report == _outcome(lambda: index_report(f, p, [S]).influence)
+            errors += isinstance(route, tuple) + isinstance(report, tuple)
+        assert 0 < errors < 2 * 1296  # both values and errors are compared
 
 
 class TestNormalizedInfluence:

@@ -76,6 +76,22 @@ def test_per_subset_sums_peak_within_three_and_a_half_tables(name):
     assert peak <= 3.5 * TABLE_BYTES, f"{name} peaked at {peak / TABLE_BYTES:.1f} tables"
 
 
+def test_inner_product_route_holds_the_two_gathered_halves():
+    # at |S| = 1 the halves D | S and D hold half a table each: D, the two
+    # halves and their concatenation, with no mask array or g values beside them
+    rng = np.random.default_rng(16)
+    f = random_game(rng, N)
+    p = random_profile(rng, N)
+    p.weights()  # cached on the profile, as for repeated queries
+    tracemalloc.start()
+    try:
+        banzhaf_influence(f, 1, p, "inner-product")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * TABLE_BYTES, f"the inner-product route peaked at {peak / TABLE_BYTES:.2f} tables"
+
+
 def test_a_game_parsed_from_a_list_holds_one_table():
     values = np.random.default_rng(16).random(1 << N).tolist()
     tracemalloc.start()

@@ -19,11 +19,11 @@ The list is seeded and fixed: the bundled games; ``generate random`` games,
 uniform and normal, at n = 2, 3, 5, 8, 11, 14, 17 and 20; a unanimity game, a
 weighted-voting game, and the n = 3 game with worths +-1.7e308.  On each,
 ``analyze`` runs with the selectors all, singletons, pairs and an explicit
-list, ``approximate`` at S = 0, S = N and a random S, each in csv and text,
-and ``verify`` (at n <= 14, where a run takes seconds).  The profiles 0.3,
-0.5, a heterogeneous one and one with 1e-9 and 1 - 1e-9 entries rotate over
-the commands.  Two commands run at a time; the whole list takes 80-90 s on
-two cores.
+list that starts with the empty set, ``approximate`` at S = 0, S = N and a
+random S, each in csv and text, and ``verify`` (at n <= 14, where a run takes
+seconds).  The profiles 0.3, 0.5, a heterogeneous one and one with 1e-9 and
+1 - 1e-9 entries rotate over the commands.  Two commands run at a time; the
+whole list takes about 90 s on a 2-vCPU Xeon guest.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def players(mask: int) -> str:
 def commands_for(game: str, n: int, rng: random.Random) -> list:
     """The analyze, approximate and verify commands on one game, profiles in rotation."""
     ps = profiles(n, rng)
-    explicit = ";".join(players(rng.randrange(1 << n)) or "0" for _ in range(3))
+    explicit = "0;" + ";".join(players(rng.randrange(1 << n)) or "0" for _ in range(3))
     out = []
     for selector in ("all", "singletons", "pairs", explicit):
         for fmt in ("csv", "text"):
