@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -115,6 +116,10 @@ def parse_game(source: Union[str, Path, TextIO]) -> PseudoBooleanFunction:
         doc = json.load(source)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8 (byte offset {exc.start}): {exc.reason}") from exc
+    except RecursionError as exc:
+        raise ParseError("not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("game file must be a JSON object")
     version = doc.get("version", GAME_FORMAT_VERSION)
@@ -504,7 +509,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one: do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="pbindex",
         description="Power, interaction and influence indexes for cooperative games.",
@@ -563,7 +570,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code == 0 else 1  # "verification failure" here, so remap
     try:
         return args.func(args)
-    except (PbindexError, OSError) as exc:
+    except (PbindexError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

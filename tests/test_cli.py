@@ -1,6 +1,9 @@
+import argparse
 import csv
 import io
 import json
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -123,6 +126,26 @@ class TestParseGame:
         assert main(["analyze", path]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: game table needs numeric entries")
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"version": 1, "n": 1, "values": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+             "not valid JSON: nested too deeply"),
+            (b"\xff\xfe", "not valid UTF-8 (byte offset 0): invalid start byte"),
+            (b'{"version": 1, "n": 1, "values": [0, 1]}\xff', "not valid UTF-8 (byte offset 40): invalid start byte"),
+        ],
+        ids=["nested", "utf16-bom", "trailing-byte"],
+    )
+    def test_files_json_cannot_read_are_parse_errors(self, tmp_path, capsys, content, message):
+        path = tmp_path / "game.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError):
+            parse_game(path)
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
     def test_serialize_roundtrip(self, tmp_path):
         game = parse_game(io.StringIO(json.dumps(OR_DOC)))
@@ -662,6 +685,16 @@ class TestVerify:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: an exact sum of")
 
+    def test_a_sample_count_numpy_cannot_allocate_is_one_error_line(self, tmp_path, capsys):
+        # 8e15 bytes lie past the 128 TiB user address space, so numpy refuses
+        # the array at once, even on a host that overcommits memory
+        path = write_game(tmp_path, {"version": 1, "n": 3, "random": {"seed": 1}})
+        assert main(["verify", path, "--samples", str(10**15)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+
     def test_nonuniform_profile(self, tmp_path, capsys):
         rc = main(["verify", write_game(tmp_path, OR_DOC), "--p", "0.3,0.8", "--trials", "4"])
         assert rc == 0
@@ -772,3 +805,58 @@ class TestGeneratorSpecs:
         assert game.values.tolist() == [0, 0, 0, 1]
         doc = {"n": 3, "random": {"seed": 0}}
         assert parse_game(write_game(tmp_path, doc)).n == 3
+
+
+class TestEntryPoint:
+    SESSION = [
+        ["analyze", "{game}", "--subsets", "singletons", "--format", "text", "--p", "0.3"],
+        ["approximate", "{game}", "--subset", "1,2"],
+        ["verify", "{game}", "--trials", "2", "--samples", "200"],
+        ["generate", "random", "--n", "3", "--seed", "5"],
+        ["analyze", "{game}", "--no-such-flag"],
+        ["--help"],
+        ["approximate", "{game}", "--subset", "9"],
+        ["analyze", "{game}"],
+    ]
+
+    def test_one_parser_serves_every_call_with_the_outputs_of_a_fresh_one(self, tmp_path, capsys, monkeypatch):
+        game = write_game(tmp_path, {"version": 1, "n": 4, "random": {"seed": 3}})
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def run_session():
+            outputs, counts = [], []
+            for argv in self.SESSION:
+                rc = main([arg.format(game=game) for arg in argv])
+                captured = capsys.readouterr()
+                outputs.append((rc, captured.out, captured.err))
+                counts.append(len(built))
+            return outputs, counts
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        reused, counts = run_session()
+        assert counts == counts[:1] * len(self.SESSION)
+        assert [rc for rc, _, _ in reused] == [0, 0, 0, 0, 1, 0, 1, 0]
+
+        # the same session with a parser built afresh for every call
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh, fresh_counts = run_session()
+        assert fresh == reused
+        assert fresh_counts[-1] - counts[-1] == 5 * len(self.SESSION)
+
+    def test_importing_the_cli_builds_no_parser(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+            "import pbindex.cli\n"
+            "print(len(built))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
