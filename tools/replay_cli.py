@@ -87,38 +87,53 @@ def commands_for(game: str, n: int, rng: random.Random) -> list:
     return [argv + ["--p", ps[k % len(ps)]] for k, argv in enumerate(out)]
 
 
-def main() -> int:
+# (argv, n) of each generate command, in replay order
+GENERATORS = [(["generate", "random", "--n", str(n), "--seed", str(n), "--distribution", d], n)
+              for n in SIZES for d in ("uniform", "normal")]
+GENERATORS += [(["generate", "unanimity", "--n", "6", "--players", "1,3,4"], 6),
+               (["generate", "weighted-voting", "--quota", "6", "--weights", "4,3,2,2,1"], 5)]
+BUNDLED = [("games/or.json", 2), ("games/majority_221.json", 3), ("games/random10.json", 10)]
+
+
+def write_huge(tmp: str) -> str:
+    """Write the +-1.7e308 game into ``tmp`` and return its path."""
+    huge = os.path.join(tmp, "huge.json")
+    with open(huge, "w", encoding="utf-8") as handle:
+        json.dump({"version": 1, "n": 3, "values": HUGE}, handle)
+    return huge
+
+
+def commands(games: list, huge: str) -> list:
+    """The replayed commands on ``games`` ((path, n) in order), then three on the huge game."""
     rng = random.Random(2027)
+    todo = [argv for game, n in games for argv in commands_for(game, n, rng)]
+    edge = ["--p", "1e-9,0.5,0.999999999"]
+    todo += [["analyze", huge, *edge], ["analyze", huge, "--subsets", "1", *edge],
+             ["approximate", huge, "--subset", "1,3", *edge]]
+    return todo
+
+
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        generators = [["generate", "random", "--n", str(n), "--seed", str(n), "--distribution", d]
-                      for n in SIZES for d in ("uniform", "normal")]
-        generators += [["generate", "unanimity", "--n", "6", "--players", "1,3,4"],
-                       ["generate", "weighted-voting", "--quota", "6", "--weights", "4,3,2,2,1"]]
-        games = [("games/or.json", 2), ("games/majority_221.json", 3), ("games/random10.json", 10)]
+        games = list(BUNDLED)
         results = []
-        for k, argv in enumerate(generators):
+        for k, (argv, n) in enumerate(GENERATORS):
             path = os.path.join(tmp, f"game{k}.json")
             result = run(argv, tmp)
             with open(path, "wb") as handle:
                 handle.write(result[1])
             results.append((argv, result))
-            games.append((path, json.loads(result[1])["n"]))
-        huge = os.path.join(tmp, "huge.json")
-        with open(huge, "w", encoding="utf-8") as handle:
-            json.dump({"version": 1, "n": 3, "values": HUGE}, handle)
+            games.append((path, n))
+        huge = write_huge(tmp)
         games.append((huge, 3))
 
-        todo = [argv for game, n in games for argv in commands_for(game, n, rng)]
-        edge = ["--p", "1e-9,0.5,0.999999999"]
-        todo += [["analyze", huge, *edge], ["analyze", huge, "--subsets", "1", *edge],
-                 ["approximate", huge, "--subset", "1,3", *edge]]
+        todo = commands(games, huge)
         with ThreadPoolExecutor(JOBS) as pool:
             results += zip(todo, pool.map(lambda argv: run(argv, tmp), todo))
         for argv, (code, out, err) in results:
             shown = shlex.join(argv).replace(tmp, "$TMP")
             print(code, hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest(), shown)
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
