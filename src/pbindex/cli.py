@@ -1,15 +1,8 @@
-"""Command-line front end: game files, generators, reports, verification.
+"""Command-line front end: argument parsing, reports and the four subcommands.
 
-Game files are JSON with a version field and either an explicit table or a
-generator spec, e.g.
-
-    {"version": 1, "n": 2, "values": [0, 1, 1, 1]}
-    {"version": 1, "weighted_voting": {"quota": 3, "weights": [2, 2, 1]}}
-    {"version": 1, "n": 3, "unanimity": {"players": [1, 2]}}
-    {"version": 1, "n": 10, "random": {"seed": 7, "distribution": "uniform"}}
-
-Generators expand at parse time, so everything downstream sees a dense table.
-Subcommands: ``analyze``, ``approximate``, ``verify``, ``generate``.
+Subcommands: ``analyze``, ``approximate``, ``verify``, ``generate``.  Game
+files are read and written by :mod:`pbindex.games`, and ``verify`` runs the
+battery of :mod:`pbindex.checks`.
 ``analyze`` and ``approximate --format csv`` write their rows through one
 writer, :func:`write_rows`, from float columns aligned with an array of
 subsets.
@@ -22,142 +15,27 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
-import math
-import reprlib
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 from typing import List, Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
 from . import approx as approx_mod
-from . import indices, measure, oracle
-from .core import (
-    Coalition,
-    PseudoBooleanFunction,
-    check_players,
-    mask_from_players,
-    players_from_mask,
-    product_table,
-    unanimity_game,
-    weighted_voting_game,
+from . import checks, indices
+from .core import Coalition, mask_from_players, players_from_mask
+from .errors import PbindexError, ValidationError
+from .games import (
+    UNANIMITY_NEEDS,
+    WEIGHTED_VOTING_NEEDS,
+    _expand_random,
+    _expand_unanimity,
+    _expand_weighted_voting,
+    parse_game,
+    serialize_game,
 )
-from .errors import ParseError, PbindexError, ValidationError
 from .measure import ProbabilityProfile
 
-GAME_FORMAT_VERSION = 1
 MAX_ENUMERATED_PLAYERS = 16  # "all subsets" explodes past this
-
-
-# ---------------------------------------------------------------------------
-# game files
-# ---------------------------------------------------------------------------
-
-# generator fields take JSON types as they are, as worths do: a number is an
-# int or a float (bool is neither), an integer an int
-WEIGHTED_VOTING_NEEDS = "weighted_voting needs numeric 'quota' and 'weights'"
-UNANIMITY_NEEDS = "unanimity needs a list of integer 'players'"
-
-
-def _expand_weighted_voting(spec: dict) -> PseudoBooleanFunction:
-    quota = spec.get("quota") if isinstance(spec, dict) else None
-    weights = spec.get("weights") if isinstance(spec, dict) else None
-    if type(quota) not in (int, float):
-        raise ParseError(f"{WEIGHTED_VOTING_NEEDS}: 'quota' is {reprlib.repr(quota)}")
-    if type(weights) is not list or not set(map(type, weights)) <= {int, float}:
-        raise ParseError(f"{WEIGHTED_VOTING_NEEDS}: 'weights' is {reprlib.repr(weights)}")
-    try:
-        return weighted_voting_game(float(quota), [float(w) for w in weights])
-    except OverflowError as exc:  # an integer past the float range
-        raise ParseError(f"{WEIGHTED_VOTING_NEEDS}: {exc}") from exc
-
-
-def _expand_unanimity(spec: dict, n: Optional[int]) -> PseudoBooleanFunction:
-    if n is None:
-        raise ParseError("unanimity generator needs a top-level 'n'")
-    check_players(n)
-    players = spec.get("players") if isinstance(spec, dict) else None
-    if type(players) is not list or not set(map(type, players)) <= {int}:
-        raise ParseError(f"{UNANIMITY_NEEDS}: 'players' is {reprlib.repr(players)}")
-    return unanimity_game(n, mask_from_players(players, n))
-
-
-def _expand_random(spec: dict, n: Optional[int]) -> PseudoBooleanFunction:
-    if n is None:
-        raise ParseError("random generator needs a top-level 'n'")
-    check_players(n)  # before drawing 2**n worths
-    seed = spec.get("seed") if isinstance(spec, dict) else None
-    if type(seed) is not int or seed < 0:  # a JSON integer: no bool, no float
-        raise ParseError(f"random generator needs a non-negative integer 'seed', got {seed!r}")
-    distribution = spec.get("distribution", "uniform")
-    rng = np.random.default_rng(seed)
-    if distribution == "uniform":
-        values = rng.random(1 << n)
-    elif distribution == "normal":
-        values = rng.standard_normal(1 << n)
-    else:
-        raise ParseError(f"unknown random distribution {distribution!r}")
-    return PseudoBooleanFunction(n, values)
-
-
-def parse_game(source: Union[str, Path, TextIO]) -> PseudoBooleanFunction:
-    """Load a game file (path or open stream) into a dense table.
-
-    Raises :class:`ParseError` on malformed input, including worths that are
-    not JSON numbers (strings, booleans), and :class:`ValidationError` on
-    structurally invalid tables (wrong length, n > 24, non-finite values).
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return parse_game(handle)
-    try:
-        doc = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8 (byte offset {exc.start}): {exc.reason}") from exc
-    except RecursionError as exc:
-        raise ParseError("not valid JSON: nested too deeply") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("game file must be a JSON object")
-    version = doc.get("version", GAME_FORMAT_VERSION)
-    if type(version) is not int or version != GAME_FORMAT_VERSION:
-        raise ParseError(f"unsupported game file version {reprlib.repr(version)}")
-    n = doc.get("n")
-    if n is not None and not isinstance(n, int):
-        raise ParseError(f"field 'n' must be an integer, got {n!r}")
-
-    if "values" in doc:
-        if n is None:
-            raise ParseError("explicit game table needs field 'n'")
-        values = doc["values"]
-        if not isinstance(values, list):
-            raise ParseError("field 'values' must be a list")
-        if not set(map(type, values)) <= {int, float}:  # JSON numbers; bool is not one
-            k, bad = next((k, v) for k, v in enumerate(values) if type(v) not in (int, float))
-            raise ParseError(f"game table needs numeric entries: entry {k} is {bad!r}")
-        return PseudoBooleanFunction(n, values)
-    if "weighted_voting" in doc:
-        return _expand_weighted_voting(doc["weighted_voting"])
-    if "unanimity" in doc:
-        return _expand_unanimity(doc["unanimity"], n)
-    if "random" in doc:
-        return _expand_random(doc["random"], n)
-    raise ParseError(
-        "game file needs one of 'values', 'weighted_voting', 'unanimity', 'random'"
-    )
-
-
-def serialize_game(f: PseudoBooleanFunction, dest: Union[str, Path, TextIO]) -> None:
-    """Write a game as an explicit-table file (generators are not preserved)."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as handle:
-            serialize_game(f, handle)
-        return
-    json.dump({"version": GAME_FORMAT_VERSION, "n": f.n, "values": f.values.tolist()}, dest)
-    dest.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -356,107 +234,6 @@ def cmd_approximate(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    deviation: float
-
-
-def _check_four_way(game, profile, rng, trials, inject_fault) -> CheckResult:
-    worst = 0.0
-    for _ in range(trials):
-        S = int(rng.integers(0, 1 << game.n))
-        vals = [
-            indices.banzhaf_influence(game, S, profile, method=m)
-            for m in indices.INFLUENCE_METHODS
-        ]
-        if inject_fault:
-            vals[indices.INFLUENCE_METHODS.index("projection")] += 1e-3
-        worst = max(worst, max(vals) - min(vals))
-    return CheckResult("four-way-influence", worst <= 1e-9, worst)
-
-
-# the orthonormality Gram is multiplied over groups of ORTHO_CHUNK_BITS
-# players, ORTHO_ROW_BLOCK of its rows at a time
-ORTHO_CHUNK_BITS = 16
-ORTHO_ROW_BLOCK = 16
-
-
-def _orthonormality_gram(profile: ProbabilityProfile, picks: np.ndarray) -> np.ndarray:
-    """Gram matrix <v_S, v_T> of the basis tables v_{T,p}, T in ``picks``.
-
-    They and the weights are products of per-player factors, so the Gram is
-    the entrywise product of the Grams over groups of players (one group,
-    the dense Gram, at n <= 16).  A group's rows are filled into one table,
-    and their weighted copy is made ORTHO_ROW_BLOCK rows at a time; OpenBLAS
-    gives a block the bits of one 64-row product (checked for 8 to 32 rows).
-    """
-    pairs = [measure._basis_pairs(profile, int(T)) for T in picks]
-    gram = np.ones((len(picks), len(picks)))
-    for lo in range(0, profile.n, ORTHO_CHUNK_BITS):
-        hi = min(lo + ORTHO_CHUNK_BITS, profile.n)
-        rows = np.empty((len(picks), 1 << (hi - lo)))
-        for row, pair in zip(rows, pairs):
-            row[:] = product_table(pair[lo:hi])
-        w = ProbabilityProfile(profile.p[lo:hi]).weights()
-        for r in range(0, len(picks), ORTHO_ROW_BLOCK):
-            gram[r : r + ORTHO_ROW_BLOCK] *= (rows[r : r + ORTHO_ROW_BLOCK] * w) @ rows.T
-    return gram
-
-
-def _check_orthonormality(game, profile, rng) -> CheckResult:
-    size = 1 << game.n
-    if size <= 64:
-        picks = np.arange(size)
-    else:
-        picks = rng.choice(size, size=64, replace=False)
-    gram = _orthonormality_gram(profile, picks)
-    worst = float(np.max(np.abs(gram - np.eye(len(picks)))))
-    return CheckResult("orthonormality", worst <= 1e-10, worst)
-
-
-def _check_parseval(game, profile) -> CheckResult:
-    # on the game / 2**e, so no square overflows; the floor 2**-2e is 1 unscaled
-    scale = math.ldexp(1.0, -measure._scale_exponent(game.values))
-    game = PseudoBooleanFunction(game.n, game.values * scale)
-    total = measure.inner_product(profile, game, game)
-    coeffs = approx_mod.fourier_table(game, profile)
-    dev = abs(measure._fsum(coeffs * coeffs) - total)
-    rel = dev / max(total, scale * scale)
-    return CheckResult("parseval", rel <= 1e-9, rel)
-
-
-def _check_monte_carlo(game, profile, rng, samples, seed) -> CheckResult:
-    S = int(rng.integers(1, 1 << game.n))
-    closed = {
-        "identity": measure.expectation(profile, game),
-        "sigma": indices.banzhaf_influence(game, S, profile),
-        "delta": indices.banzhaf_interaction(game, S, profile),
-    }
-    worst = 0.0
-    ok = True
-    for transform, truth in closed.items():
-        est = oracle.mc_expectation(game, transform, S, profile, samples, seed)
-        gap = abs(est.mean - truth)
-        ok = ok and gap <= 5.0 * est.std_error + 1e-12
-        worst = max(worst, gap)
-    cdf = oracle.cdf_integral_check(game, S, profile, max(samples, 1000), seed)
-    gap = abs(cdf.mean - closed["sigma"])
-    ok = ok and gap <= 5.0 * cdf.std_error + 1e-12
-    worst = max(worst, gap)
-    return CheckResult("monte-carlo", ok, worst)
-
-
-def _check_quadrature(game, rng) -> CheckResult:
-    S = int(rng.integers(0, 1 << game.n))
-    dev_diag = abs(oracle.diagonal_quadrature(game, S) - indices.shapley_generalized_value(game, S))
-    uniform = ProbabilityProfile.uniform(game.n)
-    dev_cube = abs(oracle.cube_average(game, S) - indices.banzhaf_influence(game, S, uniform))
-    passed = dev_diag <= 1e-10 and dev_cube <= 1e-12
-    return CheckResult("quadrature", passed, max(dev_diag, dev_cube))
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValidationError(f"--trials must be at least 1, got {args.trials}")
@@ -464,19 +241,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValidationError(f"--seed must be non-negative, got {args.seed}")
     game = parse_game(args.game)
     profile = parse_profile(args.p, game.n)
-    rng = np.random.default_rng(args.seed)
-    checks = [
-        _check_four_way(game, profile, rng, args.trials, args.inject_fault),
-        _check_orthonormality(game, profile, rng),
-        _check_parseval(game, profile),
-        _check_monte_carlo(game, profile, rng, args.samples, args.seed),
-        _check_quadrature(game, rng),
-    ]
+    results = checks.run(game, profile, args.trials, args.samples, args.seed, args.inject_fault)
     with _open_out(args.out) as out:
-        for check in checks:
+        for check in results:
             status = "PASS" if check.passed else "FAIL"
             out.write(f"{status}  {check.name:<20}  max deviation {check.deviation:.3e}\n")
-        failed = [c.name for c in checks if not c.passed]
+        failed = [c.name for c in results if not c.passed]
         if failed:
             out.write(f"verification failed: {failed[0]}\n")
             return 2
@@ -499,8 +269,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if args.n is None:
             raise ValidationError("random needs --n")
         game = _expand_random({"seed": args.seed, "distribution": args.distribution}, args.n)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown generator {args.kind!r}")
     serialize_game(game, sys.stdout if args.out is None else args.out)
     return 0
 

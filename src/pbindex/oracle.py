@@ -284,7 +284,7 @@ def cdf_integral_check(
     coeffs = _switch_mobius(f, S)
     m = f.n - S.bit_count()
     if m == 0:
-        return _make_estimate(np.full(samples, coeffs[0]))
+        return SampleEstimate(float(coeffs[0]), 0.0)
     a = MobiusRepresentation(m, coeffs)
     del coeffs
     outside = [i for i in range(f.n) if not S >> i & 1]

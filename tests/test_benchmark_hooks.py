@@ -31,6 +31,7 @@ def test_gate_imports_resolve(monkeypatch):
 def test_tracer_wraps_every_target_and_restores_it(monkeypatch, tmp_path):
     spans = _load(monkeypatch, "spans")
     from pbindex import cli
+    from pbindex import games
 
     original = cli.write_rows
     game = tmp_path / "or.json"
@@ -39,12 +40,16 @@ def test_tracer_wraps_every_target_and_restores_it(monkeypatch, tmp_path):
     try:
         tracer.enable()
         assert cli.write_rows is not original
+        assert games.parse_game is cli.parse_game
         assert cli.main(["analyze", str(game), "--out", str(tmp_path / "out.csv")]) == 0
     finally:
         tracer.disable()
     assert cli.write_rows is original
     # analyze writes its report inside a span of its own
     assert "cli.write_rows" in {name for _, name, _, _, _ in tracer.spans}
+    # parse_game's call on the opened file is traced, as its call on the path
+    names = [name for _, name, _, _, _ in tracer.spans]
+    assert [names.count(f"cli.{f}") for f in ("parse_game", "parse_profile", "parse_subsets")] == [2, 1, 1]
 
 
 def test_gate_passes_approximate_and_reports_a_corrupt_value(monkeypatch, tmp_path):

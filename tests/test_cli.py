@@ -19,7 +19,7 @@ from pbindex import (
     index_report,
     residual_norm,
 )
-from pbindex import cli, indices, measure
+from pbindex import checks, cli, indices, measure
 from pbindex.cli import (
     format_subset,
     main,
@@ -134,8 +134,11 @@ class TestParseGame:
              "not valid JSON: nested too deeply"),
             (b"\xff\xfe", "not valid UTF-8 (byte offset 0): invalid start byte"),
             (b'{"version": 1, "n": 1, "values": [0, 1]}\xff', "not valid UTF-8 (byte offset 40): invalid start byte"),
+            (b'{"version": 1, "n": 1, "values": [' + b"1" * 5000 + b", 0]}",
+             "not valid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+             "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
         ],
-        ids=["nested", "utf16-bom", "trailing-byte"],
+        ids=["nested", "utf16-bom", "trailing-byte", "int-digits"],
     )
     def test_files_json_cannot_read_are_parse_errors(self, tmp_path, capsys, content, message):
         path = tmp_path / "game.json"
@@ -611,7 +614,7 @@ class TestVerify:
         assert captured.err == f"error: --seed must be non-negative, got {seed}\n"
 
     def test_chunked_orthonormality_matches_the_dense_gram(self, monkeypatch):
-        monkeypatch.setattr(cli, "ORTHO_CHUNK_BITS", 4)  # groups of 4 + 4 and 4 + 4 + 1 players
+        monkeypatch.setattr(checks, "ORTHO_CHUNK_BITS", 4)  # groups of 4 + 4 and 4 + 4 + 1 players
         for n in (8, 9):
             rng = np.random.default_rng(23)
             profile = ProbabilityProfile(rng.uniform(0.05, 0.95, n))
@@ -620,7 +623,7 @@ class TestVerify:
             tables = np.stack([basis_function(profile, int(T)).values for T in picks])
             gram = (tables * profile.weights()) @ tables.T
             dense = float(np.max(np.abs(gram - np.eye(64))))
-            check = cli._check_orthonormality(game, profile, np.random.default_rng(5))
+            check = checks._check_orthonormality(game, profile, np.random.default_rng(5))
             assert check.passed
             assert abs(check.deviation - dense) <= 1e-15
 
@@ -629,12 +632,12 @@ class TestVerify:
         # the Gram built from a list of one product_table per row and its np.stack copy
         pairs = [measure._basis_pairs(profile, int(T)) for T in picks]
         gram = np.ones((len(picks), len(picks)))
-        for lo in range(0, profile.n, cli.ORTHO_CHUNK_BITS):
-            hi = lo + cli.ORTHO_CHUNK_BITS
+        for lo in range(0, profile.n, checks.ORTHO_CHUNK_BITS):
+            hi = lo + checks.ORTHO_CHUNK_BITS
             rows = np.stack([product_table(pair[lo:hi]) for pair in pairs])
             w = ProbabilityProfile(profile.p[lo:hi]).weights()
-            for r in range(0, len(picks), cli.ORTHO_ROW_BLOCK):
-                gram[r : r + cli.ORTHO_ROW_BLOCK] *= (rows[r : r + cli.ORTHO_ROW_BLOCK] * w) @ rows.T
+            for r in range(0, len(picks), checks.ORTHO_ROW_BLOCK):
+                gram[r : r + checks.ORTHO_ROW_BLOCK] *= (rows[r : r + checks.ORTHO_ROW_BLOCK] * w) @ rows.T
         return gram
 
     @pytest.mark.parametrize("bound", [False, True])
@@ -643,7 +646,7 @@ class TestVerify:
         [(1, 16), (6, 16), (12, 16), (16, 16), (17, 16), (9, 4)],  # n = 6: every mask
     )
     def test_orthonormality_gram_is_the_stacked_tables_gram(self, monkeypatch, n, chunk_bits, bound):
-        monkeypatch.setattr(cli, "ORTHO_CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(checks, "ORTHO_CHUNK_BITS", chunk_bits)
         rng = np.random.default_rng(n)
         p = rng.uniform(0.05, 0.95, n)
         if bound:  # the interior bound on either side
@@ -655,8 +658,8 @@ class TestVerify:
         else:
             picks = np.random.default_rng(5).choice(1 << n, size=64, replace=False)
         want = self._gram_of_stacked_tables(profile, picks)
-        assert cli._orthonormality_gram(profile, picks).tobytes() == want.tobytes()
-        check = cli._check_orthonormality(game, profile, np.random.default_rng(5))
+        assert checks._orthonormality_gram(profile, picks).tobytes() == want.tobytes()
+        check = checks._check_orthonormality(game, profile, np.random.default_rng(5))
         deviation = float(np.max(np.abs(want - np.eye(len(picks)))))
         assert np.float64(check.deviation).tobytes() == np.float64(deviation).tobytes()
 
@@ -860,3 +863,17 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0\n"
+
+
+def test_games_and_checks_load_without_the_modules_above_them():
+    # the game format and the verify battery each change without the CLI
+    script = (
+        "import sys\n"
+        "import pbindex.games\n"
+        "print(sorted({'pbindex.checks', 'pbindex.cli'} & set(sys.modules)))\n"
+        "import pbindex.checks\n"
+        "print(sorted({'pbindex.cli'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[]\n"

@@ -22,7 +22,7 @@ from pbindex import (
     shapley_generalized_value,
     unanimity_game,
 )
-from pbindex import cli
+from pbindex import checks
 from helpers import random_game, random_profile
 
 N = 16
@@ -119,6 +119,20 @@ def test_cdf_oracle_evaluates_the_table_outside_s():
     assert peak <= 24 * TABLE_BYTES, f"the CDF oracle peaked at {peak / TABLE_BYTES:.1f} tables"
 
 
+def test_cdf_oracle_at_the_grand_coalition_allocates_no_draws():
+    # every draw of sigma_N f is f(N) - f(emptyset): 10**6 of them would take 7.6 MiB
+    f = random_game(np.random.default_rng(4), 4)
+    tracemalloc.start()
+    try:
+        estimate = cdf_integral_check(f, 0b1111, random_profile(np.random.default_rng(4), 4), 10**6, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimate.mean.hex() == float(f.values[-1] - f.values[0]).hex()
+    assert estimate.std_error == 0.0
+    assert peak < 1 << 20, f"the CDF oracle at S = N peaked at {peak / (1 << 20):.1f} MiB"
+
+
 def test_projection_route_builds_no_whole_lattice_table():
     # the approximant's coefficients sit on the 2**4 submasks of S, so its two
     # endpoints need no zeta over all 2**16 masks
@@ -143,7 +157,7 @@ def test_orthonormality_check_holds_its_basis_rows_once():
     p = random_profile(rng, N)
     tracemalloc.start()
     try:
-        check = cli._check_orthonormality(f, p, np.random.default_rng(5))
+        check = checks._check_orthonormality(f, p, np.random.default_rng(5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

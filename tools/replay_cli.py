@@ -24,6 +24,11 @@ random S, each in csv and text, and ``verify`` (at n <= 14, where a run takes
 seconds).  The profiles 0.3, 0.5, a heterogeneous one and one with 1e-9 and
 1 - 1e-9 entries rotate over the commands.  Two commands run at a time; the
 whole list takes about 90 s on a 2-vCPU Xeon guest.
+
+``tests/test_bits.py`` covers the commands whose game has n <= 11 in
+process, through ``tools/bits.py``, which takes its list from here.  This
+two-checkout replay remains the check for the n = 14-20 commands and for
+the stderr of a fresh process.
 """
 
 from __future__ import annotations
