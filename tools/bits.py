@@ -12,7 +12,7 @@ Two groups of outputs are digested, each as sha256 over its exact bytes
 (a float by ``float.hex``, an array by its dtype, shape and ``tobytes()``, a
 typed error or an escaping RuntimeWarning by its type and message):
 
-* ``library``: 21 public outputs over ``CASES`` seeded games, one digest per
+* ``library``: 23 public outputs over ``CASES`` seeded games, one digest per
   output over all cases.  Games have n = 1-10 uniform worths in [-1, 1]
   times 1, 1e-300, 1e300 or 1e6, every seventh with a 1e6 offset; every
   fifth profile has a 1e-9 entry.  ``lsq_normal_equations`` is left out, and
@@ -70,7 +70,9 @@ from pbindex import (  # noqa: E402
     mobius,
     normalized_influence,
     residual_norm,
+    s_difference,
     shapley_generalized_value,
+    sigma_s,
     variance,
     weighted_voting_game,
 )
@@ -144,6 +146,8 @@ def _outputs(f, profile, S, rng) -> dict:
         "expectation": lambda: expectation(profile, f),
         "variance": lambda: variance(profile, f),
         "eval_multilinear_extension": lambda: eval_multilinear_extension(mobius(f), profile.p),
+        "s_difference": lambda: s_difference(f, S),
+        "sigma_s": lambda: sigma_s(f, S),
         "weighted_voting_game": lambda: weighted_voting_game(quota, weights.tolist()),
     }
 
