@@ -12,7 +12,6 @@ from .core import (
     MAX_PLAYERS,
     MobiusRepresentation,
     PseudoBooleanFunction,
-    eval_multilinear_extension,
     full_mask,
     mask_from_players,
     mobius,
@@ -59,6 +58,7 @@ from .measure import (
     ProbabilityProfile,
     basis_function,
     covariance,
+    eval_multilinear_extension,
     expectation,
     inner_product,
     variance,

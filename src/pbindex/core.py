@@ -7,7 +7,7 @@ values indexed by mask.  This module holds the combinatorial workhorses the
 rest of the package builds on: the Mobius and zeta (subset-sum) transforms,
 :func:`axis_map`, the per-axis 2x2 kernel of the whole-lattice maps (it also
 folds axes away), discrete S-derivatives, the switch operator sigma_S,
-unanimity games, the multilinear extension, and :func:`split_submasks`.
+unanimity games and :func:`split_submasks`.
 
 All objects are immutable after construction and every function is pure, so
 the module is safe for concurrent reads without locking.
@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 # Dense 2**n float64 tables stay under ~135 MB at this cap.
 MAX_PLAYERS = 24
@@ -236,24 +236,6 @@ def zeta(a: MobiusRepresentation) -> PseudoBooleanFunction:
     return PseudoBooleanFunction(a.n, work)
 
 
-def eval_multilinear_extension(a: MobiusRepresentation, x) -> float:
-    """Value of the multilinear extension sum_S a(S) prod_{i in S} x_i.
-
-    The point ``x`` must lie in the unit cube [0, 1]^n; interior points are
-    the expectation of the game under independent coalition formation.
-    Summed exactly by ``measure._fsum``, so a sum past the float range raises
-    :class:`~pbindex.errors.SumOverflow`.
-    """
-    from .measure import _fsum  # measure imports this module
-
-    pt = np.asarray(x, dtype=np.float64)
-    if pt.shape != (a.n,):
-        raise DomainError(f"point must have {a.n} coordinates, got shape {pt.shape}")
-    if np.any(pt < 0.0) or np.any(pt > 1.0):
-        raise DomainError(f"point {pt.tolist()} outside the unit cube")
-    return _fsum(a.coeffs * subset_products(pt))
-
-
 # ---------------------------------------------------------------------------
 # difference and switch operators
 # ---------------------------------------------------------------------------
@@ -263,16 +245,14 @@ def s_difference(f: PseudoBooleanFunction, S: Coalition) -> PseudoBooleanFunctio
 
     The result no longer depends on the coordinates in S; it is stored as a
     full table with those coordinates zeroed, i.e. g(T) = g(T minus S).
+    Each bit i of S, lowest first, halves axis n-1-i of the (2,)*n view.
     """
     check_mask(S, f.n)
-    work = f.values.copy()
+    work = f.values.reshape((2,) * f.n)
     for i in range(f.n):
         if S >> i & 1:
-            pairs = work.reshape(-1, 2, 1 << i)
-            diff = pairs[:, 1, :] - pairs[:, 0, :]
-            pairs[:, 0, :] = diff
-            pairs[:, 1, :] = diff
-    return PseudoBooleanFunction(f.n, work)
+            work = np.diff(work, axis=f.n - 1 - i)
+    return PseudoBooleanFunction(f.n, np.broadcast_to(work, (2,) * f.n).reshape(-1))
 
 
 def sigma_s(f: PseudoBooleanFunction, S: Coalition) -> PseudoBooleanFunction:

@@ -13,6 +13,7 @@ Generators expand at parse time, so everything downstream sees a dense table.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import reprlib
 from pathlib import Path
@@ -85,19 +86,18 @@ def parse_game(source: Union[str, Path, TextIO]) -> PseudoBooleanFunction:
     not JSON numbers (strings, booleans), and :class:`ValidationError` on
     structurally invalid tables (wrong length, n > 24, non-finite values).
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return parse_game(handle)
-    try:
-        doc = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8 (byte offset {exc.start}): {exc.reason}") from exc
-    except ValueError as exc:  # after its subclasses above: an integer past the digit limit
-        raise ParseError(f"not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError("not valid JSON: nested too deeply") from exc
+    is_path = isinstance(source, (str, Path))  # opened here, or the caller's stream as it is
+    with open(source, encoding="utf-8") if is_path else contextlib.nullcontext(source) as handle:
+        try:
+            doc = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not valid UTF-8 (byte offset {exc.start}): {exc.reason}") from exc
+        except ValueError as exc:  # after its subclasses above: an integer past the digit limit
+            raise ParseError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ParseError("not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("game file must be a JSON object")
     version = doc.get("version", GAME_FORMAT_VERSION)
@@ -130,9 +130,7 @@ def parse_game(source: Union[str, Path, TextIO]) -> PseudoBooleanFunction:
 
 def serialize_game(f: PseudoBooleanFunction, dest: Union[str, Path, TextIO]) -> None:
     """Write a game as an explicit-table file (generators are not preserved)."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as handle:
-            serialize_game(f, handle)
-        return
-    json.dump({"version": GAME_FORMAT_VERSION, "n": f.n, "values": f.values.tolist()}, dest)
-    dest.write("\n")
+    is_path = isinstance(dest, (str, Path))
+    with open(dest, "w", encoding="utf-8") if is_path else contextlib.nullcontext(dest) as handle:
+        json.dump({"version": GAME_FORMAT_VERSION, "n": f.n, "values": f.values.tolist()}, handle)
+        handle.write("\n")

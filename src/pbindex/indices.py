@@ -23,6 +23,7 @@ reports over many subsets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -60,8 +61,6 @@ from .measure import (
     expectation,
     variance,
 )
-
-INFLUENCE_METHODS = ("mobius", "projection", "average", "inner-product")
 
 # sigma(f) at or below this is treated as a constant function
 DEGENERACY_EPS = 1e-12
@@ -146,6 +145,7 @@ _INFLUENCE_DISPATCH = {
     "average": _influence_average,
     "inner-product": _influence_inner_product,
 }
+INFLUENCE_METHODS = tuple(_INFLUENCE_DISPATCH)
 
 
 def banzhaf_influence(
@@ -251,7 +251,8 @@ class GeneralizedValueCoefficients:
         t = self.table
         if not (isinstance(t, np.ndarray) and t.dtype == np.float64 and t.shape == (1 << self.n,)):
             raise ValidationError(f"{self.kind}-form table needs a float64 array of 2**{self.n}")
-        meets = (np.arange(1 << self.n) & self.subset) != 0
+        meets = np.ones(1 << self.n, dtype=bool)
+        meets[split_submasks(self.subset, self.n)[0]] = False  # the face R = 0
         bad = ~np.isfinite(t) | ((meets if self.kind == "p" else ~meets) & (t != 0.0))
         if bad.any():
             k = int(np.argmax(bad))
@@ -421,6 +422,17 @@ def _shapley_values(values: np.ndarray, n: int) -> np.ndarray:
     return total
 
 
+def _check_finite(masks, columns: dict) -> None:
+    # a ValidationError naming the first subset, masks[k], where a named column is not finite
+    finite = functools.reduce(np.logical_and, [np.isfinite(c) for c in columns.values()])
+    if not finite.all():
+        k = int(np.argmin(finite))
+        values = ", ".join(f"{name} = {float(c[k])!r}" for name, c in columns.items())
+        raise ValidationError(
+            f"indexes of subset {int(masks[k]):#b} are not finite: {values} (the worths overflow)"
+        )
+
+
 def interaction_table(f: PseudoBooleanFunction, profile: ProbabilityProfile) -> np.ndarray:
     """All 2**n interaction indexes of f at profile p: entry S is I_{B,p}(f,S).
 
@@ -432,12 +444,7 @@ def interaction_table(f: PseudoBooleanFunction, profile: ProbabilityProfile) -> 
     _check_same_n(profile, f)
     with np.errstate(over="ignore", invalid="ignore"):
         table = _interaction_values(f.values, profile.p.tolist())
-    finite = np.isfinite(table)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValidationError(
-            f"indexes of subset {k:#b} are not finite: I = {float(table[k])!r} (the worths overflow)"
-        )
+    _check_finite(range(table.size), {"I": table})
     table.setflags(write=False)
     return table
 
@@ -545,13 +552,7 @@ def index_report(
         influence = np.array([banzhaf_influence(centered, S, profile, "inner-product") for S in picks])
         shapley = np.array([shapley_generalized_value(f, S) for S in picks])
         sigma_g = np.array([g_std(S, profile) if S else math.nan for S in picks])
-    finite = np.isfinite(interaction) & np.isfinite(influence) & np.isfinite(shapley)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValidationError(
-            f"indexes of subset {int(masks[k]):#b} are not finite: I = {float(interaction[k])!r}, "
-            f"Phi = {float(influence[k])!r}, Shapley = {float(shapley[k])!r} (the worths overflow)"
-        )
+    _check_finite(masks, {"I": interaction, "Phi": influence, "Shapley": shapley})
     correlation = np.full(masks.size, np.nan)
     if sigma_f > DEGENERACY_EPS * scale:
         # cov(f, g_{S,p}) = <f, g_{S,p}> = Phi(S) because E[g_{S,p}] = 0

@@ -7,7 +7,8 @@ the weighted Euclidean inner product, the orthonormal basis
 
     v_{T,p}(x) = prod_{i in T} (x_i - p_i) / sqrt(p_i (1 - p_i)),
 
-expectations and covariances of games under C.  Every weighted sum of
+expectations and covariances of games under C, and the multilinear
+extension, which gives E[f(C)] a second way.  Every weighted sum of
 products of worths goes through :func:`_weighted_product_sum`: it sums at an
 exact power-of-two scale where a product could overflow, and raises
 :class:`ValidationError` for a sum past the float range.
@@ -23,13 +24,14 @@ import numpy as np
 from .core import (
     MAX_PLAYERS,
     Coalition,
+    MobiusRepresentation,
     PseudoBooleanFunction,
     check_mask,
-    eval_multilinear_extension,
     mobius,
     product_table,
+    subset_products,
 )
-from .errors import DimensionError, SumOverflow, ValidationError
+from .errors import DimensionError, DomainError, SumOverflow, ValidationError
 
 # Profiles must stay strictly interior: the basis divides by sqrt(p(1-p)).
 INTERIOR_EPS = 1e-9
@@ -254,6 +256,22 @@ def variance(profile: ProbabilityProfile, f: PseudoBooleanFunction) -> float:
     _check_same_n(profile, f)
     d = f.values - expectation(profile, f)
     return _weighted_product_sum(profile, d, d, "the variance")
+
+
+def eval_multilinear_extension(a: MobiusRepresentation, x) -> float:
+    """Value of the multilinear extension sum_S a(S) prod_{i in S} x_i.
+
+    The point ``x`` must lie in the unit cube [0, 1]^n; interior points are
+    the expectation of the game under independent coalition formation.
+    Summed exactly by :func:`_fsum`, so a sum past the float range raises
+    :class:`~pbindex.errors.SumOverflow`.
+    """
+    pt = np.asarray(x, dtype=np.float64)
+    if pt.shape != (a.n,):
+        raise DomainError(f"point must have {a.n} coordinates, got shape {pt.shape}")
+    if np.any(pt < 0.0) or np.any(pt > 1.0):
+        raise DomainError(f"point {pt.tolist()} outside the unit cube")
+    return _fsum(a.coeffs * subset_products(pt))
 
 
 def multilinear_expectation(profile: ProbabilityProfile, f: PseudoBooleanFunction) -> float:

@@ -8,6 +8,7 @@ import pytest
 
 from pbindex import (
     Approximation,
+    DimensionError,
     PseudoBooleanFunction,
     ProbabilityProfile,
     ValidationError,
@@ -193,6 +194,12 @@ class TestResidual:
         approx = best_s_approximation(f, 0b011011, p)
         energy = inner_product(p, f, f) - math.fsum(c * c for c in approx.fourier.tolist())
         assert residual_norm(f, approx, p) == pytest.approx(energy, abs=1e-9)
+
+    def test_an_approximation_of_another_n_is_an_error(self):
+        f = random_game(np.random.default_rng(31), 3)
+        with pytest.raises(DimensionError) as info:
+            residual_norm(f, best_s_approximation(OR, 0b01, UNIFORM2), ProbabilityProfile.uniform(3))
+        assert str(info.value) == "approximation has n=2 but game has n=3"
 
 
 class TestOptimality:

@@ -47,9 +47,9 @@ def test_tracer_wraps_every_target_and_restores_it(monkeypatch, tmp_path):
     assert cli.write_rows is original
     # analyze writes its report inside a span of its own
     assert "cli.write_rows" in {name for _, name, _, _, _ in tracer.spans}
-    # parse_game's call on the opened file is traced, as its call on the path
+    # one parse_game span per game file read: it opens the file in its own body
     names = [name for _, name, _, _, _ in tracer.spans]
-    assert [names.count(f"cli.{f}") for f in ("parse_game", "parse_profile", "parse_subsets")] == [2, 1, 1]
+    assert [names.count(f"cli.{f}") for f in ("parse_game", "parse_profile", "parse_subsets")] == [1, 1, 1]
 
 
 def test_gate_passes_approximate_and_reports_a_corrupt_value(monkeypatch, tmp_path):

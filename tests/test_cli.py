@@ -137,8 +137,9 @@ class TestParseGame:
             (b'{"version": 1, "n": 1, "values": [' + b"1" * 5000 + b", 0]}",
              "not valid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
              "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+            (b"[]", "game file must be a JSON object"),
         ],
-        ids=["nested", "utf16-bom", "trailing-byte", "int-digits"],
+        ids=["nested", "utf16-bom", "trailing-byte", "int-digits", "array"],
     )
     def test_files_json_cannot_read_are_parse_errors(self, tmp_path, capsys, content, message):
         path = tmp_path / "game.json"
@@ -762,6 +763,11 @@ class TestGeneratorSpecs:
             {"n": 3, "random": {"seed": True}},
             {"n": 3, "random": {}},
             {"n": 3, "random": 5},
+            {"unanimity": {"players": [1]}},
+            {"random": {"seed": 1}},
+            {"n": 3, "random": {"seed": 1, "distribution": "cauchy"}},
+            {"n": "3", "values": [0, 1, 1, 1, 1, 1, 1, 1]},
+            {"n": 1, "values": {"0": 0, "1": 1}},
         ],
     )
     def test_fields_of_the_wrong_type_are_parse_errors(self, spec, tmp_path, capsys):

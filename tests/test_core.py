@@ -367,6 +367,24 @@ class TestSDifference:
             d = s_difference(f, 1 << i)
             assert np.max(np.abs(d.values)) <= 1e-12
 
+    def test_matches_the_per_axis_loop_bit_for_bit(self):
+        # the reference differences each bit of S, lowest first, and writes
+        # the difference into both halves; -0.0 entries and worths near the
+        # ends of the float range keep their bits
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            values = rng.uniform(-1, 1, 1 << n) * 10.0 ** int(rng.choice([-300, 0, 300]))
+            values[rng.random(1 << n) < 0.2] = -0.0
+            S = int(rng.integers(0, 1 << n))
+            want = values.copy()
+            for i in range(n):
+                if S >> i & 1:
+                    pairs = want.reshape(-1, 2, 1 << i)
+                    pairs[:, 0, :] = pairs[:, 1, :] = pairs[:, 1, :] - pairs[:, 0, :]
+            got = s_difference(PseudoBooleanFunction(n, values), S).values
+            assert got.tobytes() == want.tobytes()
+
 
 class TestSigma:
     def test_on_unanimity_games(self):

@@ -452,6 +452,11 @@ class TestContrastFunction:
     def test_uniform_singleton_std_is_two(self):
         assert g_std(0b01, UNIFORM2) == 2.0
 
+    def test_std_of_the_empty_subset_is_an_error(self):
+        with pytest.raises(EmptySubset) as info:
+            g_std(0, UNIFORM2)
+        assert str(info.value) == "g_{S,p} is identically zero for S = 0"
+
 
 def _outcome(call):
     # float.hex of a float, the bytes of an array, or the type and message of what was raised

@@ -27,7 +27,7 @@ from pbindex import (
     unanimity_game,
     variance,
 )
-from pbindex.core import eval_multilinear_extension
+from pbindex.measure import eval_multilinear_extension
 from pbindex import measure
 from pbindex.measure import FSUM_CHUNK, FSUM_SMALL, _fsum, multilinear_expectation
 from helpers import brute_weight, random_game, random_profile
@@ -45,6 +45,11 @@ class TestProfile:
             with pytest.raises(ValidationError):
                 ProbabilityProfile(bad)
         ProbabilityProfile([1e-9, 1 - 1e-9])  # the closed interval ends are fine
+
+    def test_rejects_a_nan_entry(self):
+        with pytest.raises(ValidationError) as info:
+            ProbabilityProfile([0.5, math.nan])
+        assert str(info.value) == "profile contains non-finite entries"
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValidationError):

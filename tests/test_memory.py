@@ -15,10 +15,12 @@ from pbindex import (
     cube_average,
     eval_multilinear_extension,
     gv_p_to_q,
+    gv_q_to_p,
     influence_value_coefficients,
     interaction_table,
     mobius,
     residual_norm,
+    s_difference,
     shapley_generalized_value,
     unanimity_game,
 )
@@ -213,3 +215,34 @@ def test_an_approximation_is_broadcast_from_the_lattice_of_its_keys(call):
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * table_bytes, f"{call} peaked at {peak / table_bytes:.2f} tables"
+
+
+@pytest.mark.parametrize(
+    "call, bound",
+    [("influence_value_coefficients", 1.75), ("gv_q_to_p", 2.75)],
+)
+def test_a_coefficient_table_checks_its_support_with_a_boolean_mask(call, bound):
+    # the support check clears the face R = 0 of a boolean table through the
+    # 2**12 submasks of N - S, with no int64 scan of the 2**16 masks
+    p = random_profile(np.random.default_rng(16), N)
+    q_form = gv_p_to_q(influence_value_coefficients(S4, p))
+    tracemalloc.start()
+    try:
+        influence_value_coefficients(S4, p) if call == "influence_value_coefficients" else gv_q_to_p(q_form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * TABLE_BYTES, f"{call} peaked at {peak / TABLE_BYTES:.2f} tables"
+
+
+def test_s_difference_of_the_grand_coalition_holds_one_table():
+    # every axis halves the (2,)*n view, so S = N leaves one value, and its
+    # broadcast is the game's frozen copy with its finiteness mask
+    f = random_game(np.random.default_rng(16), N)
+    tracemalloc.start()
+    try:
+        s_difference(f, (1 << N) - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * TABLE_BYTES, f"s_difference peaked at {peak / TABLE_BYTES:.2f} tables"
