@@ -12,10 +12,12 @@ Two groups of outputs are digested, each as sha256 over its exact bytes
 (a float by ``float.hex``, an array by its dtype, shape and ``tobytes()``, a
 typed error or an escaping RuntimeWarning by its type and message):
 
-* ``library``: 23 public outputs over ``CASES`` seeded games, one digest per
+* ``library``: 28 public outputs over ``CASES`` seeded games, one digest per
   output over all cases.  Games have n = 1-10 uniform worths in [-1, 1]
   times 1, 1e-300, 1e300 or 1e6, every seventh with a 1e6 offset; every
-  fifth profile has a 1e-9 entry.  ``lsq_normal_equations`` is left out, and
+  fifth profile has a 1e-9 entry.  ``gv_q_to_p.perturbed`` converts a q-form
+  with one entry raised by 0.5, which breaks its class where that class holds
+  more than one entry.  ``lsq_normal_equations`` is left out, and
   ``weighted_voting_game`` gets integer weights only: BLAS orders their sums.
 * ``cli``: exit code, stdout and stderr of in-process ``cli.main`` on every
   command of ``tools/replay_cli.py`` whose game has n <= ``CLI_MAX_N``: the
@@ -60,11 +62,16 @@ from pbindex import (  # noqa: E402
     ben_or_linial_influence,
     best_k_approximation,
     best_s_approximation,
+    GeneralizedValueCoefficients,
     cdf_integral_check,
+    cube_average,
     diagonal_quadrature,
     eval_multilinear_extension,
     expectation,
+    gv_p_to_q,
+    gv_q_to_p,
     index_report,
+    influence_value_coefficients,
     interaction_table,
     mc_expectation,
     mobius,
@@ -108,6 +115,12 @@ def _approximation(approx) -> tuple:
     return approx.keys, approx.fourier, approx.unanimity, approx.table().values
 
 
+def _perturbed_q_form(S, profile, mask) -> GeneralizedValueCoefficients:
+    table = gv_p_to_q(influence_value_coefficients(S, profile)).table.copy()
+    table[mask] += 0.5
+    return GeneralizedValueCoefficients(profile.n, S, "q", table)
+
+
 def _case(k: int):
     """Case k: (game, profile, S, rng); S is a nonempty mask."""
     rng = np.random.default_rng(k)
@@ -127,6 +140,7 @@ def _outputs(f, profile, S, rng) -> dict:
     seed = int(rng.integers(1 << 16))
     weights = rng.integers(1, 6, f.n)
     quota = float(rng.integers(1, weights.sum() + 1))
+    raised = int(rng.integers(1 << f.n)) | (S & -S)  # a mask meeting S
     return {
         "index_report.all": lambda: index_report(f, profile, np.arange(1 << f.n)),
         "index_report.few": lambda: index_report(f, profile, [S, 0, full]),
@@ -143,6 +157,11 @@ def _outputs(f, profile, S, rng) -> dict:
         "mc_expectation": lambda: [mc_expectation(f, t, S, profile, 500, seed) for t in TRANSFORMS],
         "cdf_integral_check": lambda: cdf_integral_check(f, S, profile, 1000, seed),
         "diagonal_quadrature": lambda: diagonal_quadrature(f, S),
+        "cube_average": lambda: cube_average(f, S),
+        "influence_value_coefficients": lambda: influence_value_coefficients(S, profile).table,
+        "gv_p_to_q": lambda: gv_p_to_q(influence_value_coefficients(S, profile)).table,
+        "gv_q_to_p": lambda: gv_q_to_p(gv_p_to_q(influence_value_coefficients(S, profile))).table,
+        "gv_q_to_p.perturbed": lambda: gv_q_to_p(_perturbed_q_form(S, profile, raised)).table,
         "expectation": lambda: expectation(profile, f),
         "variance": lambda: variance(profile, f),
         "eval_multilinear_extension": lambda: eval_multilinear_extension(mobius(f), profile.p),
