@@ -7,7 +7,7 @@ values indexed by mask.  This module holds the combinatorial workhorses the
 rest of the package builds on: the Mobius and zeta (subset-sum) transforms,
 :func:`axis_map`, the per-axis 2x2 kernel of the whole-lattice maps (it also
 folds axes away), discrete S-derivatives, the switch operator sigma_S,
-unanimity games and :func:`split_submasks`.
+unanimity games and :func:`split_view` (the lattice split by S).
 
 All objects are immutable after construction and every function is pure, so
 the module is safe for concurrent reads without locking.
@@ -90,9 +90,15 @@ def submasks(mask: Coalition) -> np.ndarray:
     return out
 
 
-def split_submasks(S: Coalition, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(D, R): the ascending submasks of N - S and of S.  T = D | R meets S iff R != 0."""
-    return submasks(full_mask(n) & ~S), submasks(S)
+def split_view(v: np.ndarray, S: Coalition) -> np.ndarray:
+    """The 2**n table ``v`` as a (2,)*n view split by S; it writes through to ``v``.
+
+    The axes outside S come first, then those of S, each from the highest
+    player down: in C order entry (d, r) is v[D_d | R_r], for D_d and R_r the
+    ascending submasks of N - S and of S.  The last |S| axes all 0 are the
+    face R = 0, all 1 the face R = S; ``.reshape(-1, 2**|S|)`` is the grid."""
+    n = v.size.bit_length() - 1
+    return v.reshape((2,) * n).transpose(sorted(range(n), key=lambda a: S >> (n - 1 - a) & 1))
 
 
 def product_table(pairs: Sequence[tuple[float, float]]) -> np.ndarray:
@@ -262,8 +268,8 @@ def sigma_s(f: PseudoBooleanFunction, S: Coalition) -> PseudoBooleanFunction:
     :func:`s_difference`.
     """
     check_mask(S, f.n)
-    base = np.arange(1 << f.n) & ~S
-    work = f.values[base | S] - f.values[base]
+    k, v, work = S.bit_count(), split_view(f.values, S), np.empty(1 << f.n)
+    split_view(work, S)[...] = (v[(..., *[1] * k)] - v[(..., *[0] * k)])[(..., *[None] * k)]
     return PseudoBooleanFunction(f.n, work)
 
 

@@ -10,8 +10,8 @@ gap f_{S,p}(S) - f_{S,p}(0) of the best S-approximation, the expectation of the
 switch operator E[(sigma_S f)(C)], the inner product <f, g_{S,p}>, and a
 generalized value sum_{T subseteq N-S} p_T^S (f(T u S) - f(T)); all four routes
 are implemented and kept as first-class methods because their agreement is the
-whole point of the construction.  Every per-subset sum lists its terms
-T = D | R, D inside N - S and R inside S, by ``core.split_submasks``.
+whole point of the construction.  Every per-subset sum reads its terms
+T = D | R, D inside N - S and R inside S, from ``core.split_view``.
 
 Also here: the Shapley generalized value, the Ben-Or-Linial influence, the
 conversions between the two coefficient forms of a generalized value, the
@@ -38,7 +38,7 @@ from .core import (
     check_mask,
     mobius,
     product_table,
-    split_submasks,
+    split_view,
     submasks,
     subset_products,
 )
@@ -70,7 +70,7 @@ Q_FORM_TOL = 1e-12
 
 
 def _comp_weights(S: Coalition, profile: ProbabilityProfile) -> np.ndarray:
-    """Pr(C - S = D) = prod_{i in D} p_i prod_{i in N-S-D} (1-p_i), D as in ``split_submasks``."""
+    """Pr(C - S = D) = prod_{i in D} p_i prod_{i in N-S-D} (1-p_i), D as the rows of ``split_view``."""
     p = profile.p.tolist()
     return product_table([(1.0 - p[i], p[i]) for i in range(profile.n) if not S >> i & 1])
 
@@ -85,10 +85,11 @@ def banzhaf_interaction(
     """
     _check_same_n(profile, f)
     check_mask(S, f.n)
-    D, _ = split_submasks(S, f.n)
-    terms = mobius(f).coeffs[D | S]  # gathered before the products: a table less at the peak
-    terms *= subset_products([pi for i, pi in enumerate(profile.p.tolist()) if not S >> i & 1])
-    return _fsum(terms)
+    face = split_view(mobius(f).coeffs, S)[(..., *[1] * S.bit_count())]  # R = S
+    terms = subset_products([pi for i, pi in enumerate(profile.p.tolist()) if not S >> i & 1])
+    terms = terms.reshape(face.shape)
+    terms *= face  # in place: a table less at the peak
+    return _fsum(terms.ravel())
 
 
 def g_function(S: Coalition, profile: ProbabilityProfile) -> PseudoBooleanFunction:
@@ -114,9 +115,9 @@ def _g_levels(S: Coalition, profile: ProbabilityProfile):
 
 def _influence_mobius(f, S, profile):
     # sum over T = D | R meeting S (R != 0) of a(T) prod_{i in D} p_i, as in banzhaf_interaction
-    D, R = split_submasks(S, f.n)
     prods = subset_products([pi for i, pi in enumerate(profile.p.tolist()) if not S >> i & 1])
-    return _fsum_split(mobius(f).coeffs.take(D[:, None] | R[1:]) * prods[:, None], D, R[1:])
+    terms = split_view(mobius(f).coeffs, S).reshape(len(prods), -1)[:, 1:] * prods[:, None]
+    return _fsum_split(terms, S)  # the grid, a copy, is freed before the sum
 
 
 def _influence_projection(f, S, profile):
@@ -126,17 +127,17 @@ def _influence_projection(f, S, profile):
 
 
 def _influence_average(f, S, profile):
-    D, _ = split_submasks(S, f.n)
-    return _fsum(_comp_weights(S, profile) * (f.values[D | S] - f.values[D]))
+    k, v = S.bit_count(), split_view(f.values, S)
+    return _fsum(_comp_weights(S, profile) * (v[(..., *[1] * k)] - v[(..., *[0] * k)]).ravel())
 
 
 def _influence_inner_product(f, S, profile):
-    # <f, g_{S,p}> over the support of g_{S,p} only: 1/p_S on the T = D | S that
-    # contain S, -1/q_S on the T = D that miss it.  The dropped terms are exact
-    # zeros, so this is the dense sum bitwise (for S = 0 the halves cancel to 0.0).
-    D, _ = split_submasks(S, f.n)
-    w, (inv_p, inv_q) = profile.weights(), _g_levels(S, profile)
-    return _fsum(np.concatenate([w[T] * f.values[T] * g for T, g in ((D | S, inv_p), (D, -inv_q))]))
+    # <f, g_{S,p}> on the support of g_{S,p} only, 1/p_S on the face R = S and -1/q_S on R = 0:
+    # the dropped terms are exact zeros, so this is the dense sum bitwise (S = 0 cancels to 0.0)
+    k, w, v = S.bit_count(), split_view(profile.weights(), S), split_view(f.values, S)
+    inv_p, inv_q = _g_levels(S, profile)
+    faces = (((..., *[1] * k), inv_p), ((..., *[0] * k), -inv_q))
+    return _fsum(np.concatenate([(w[face] * v[face] * g).ravel() for face, g in faces]))
 
 
 _INFLUENCE_DISPATCH = {
@@ -204,9 +205,9 @@ def shapley_generalized_value(f: PseudoBooleanFunction, S: Coalition) -> float:
     profile (p, ..., p).
     """
     check_mask(S, f.n)
-    D, R = split_submasks(S, f.n)
-    divisors = np.bitwise_count(D) + 1.0  # |T - S| + 1, float64
-    return _fsum_split(mobius(f).coeffs.take(D[:, None] | R[1:]) / divisors[:, None], D, R[1:])
+    divisors = np.bitwise_count(np.arange(1 << (f.n - S.bit_count()))) + 1.0  # |T - S| + 1 at row D
+    terms = split_view(mobius(f).coeffs, S).reshape(len(divisors), -1)[:, 1:] / divisors[:, None]
+    return _fsum_split(terms, S)
 
 
 def ben_or_linial_influence(f: PseudoBooleanFunction, S: Coalition) -> float:
@@ -218,10 +219,8 @@ def ben_or_linial_influence(f: PseudoBooleanFunction, S: Coalition) -> float:
     at the uniform profile.
     """
     check_mask(S, f.n)
-    D, R = split_submasks(S, f.n)
-    grid = f.values[D[:, None] | R]
-    spread = grid.max(axis=1) - grid.min(axis=1)
-    return _fsum(spread) / float(len(D))
+    spread = np.ptp(split_view(f.values, S).reshape(-1, 1 << S.bit_count()), axis=1)
+    return _fsum(spread) / float(len(spread))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +251,7 @@ class GeneralizedValueCoefficients:
         if not (isinstance(t, np.ndarray) and t.dtype == np.float64 and t.shape == (1 << self.n,)):
             raise ValidationError(f"{self.kind}-form table needs a float64 array of 2**{self.n}")
         meets = np.ones(1 << self.n, dtype=bool)
-        meets[split_submasks(self.subset, self.n)[0]] = False  # the face R = 0
+        split_view(meets, self.subset)[(..., *[0] * self.subset.bit_count())] = False  # R = 0
         bad = ~np.isfinite(t) | ((meets if self.kind == "p" else ~meets) & (t != 0.0))
         if bad.any():
             k = int(np.argmax(bad))
@@ -274,27 +273,29 @@ def influence_value_coefficients(
     Nonnegative and summing to 1 over T subseteq N-S.
     """
     check_mask(S, profile.n)
-    table = np.zeros(1 << profile.n)
-    table[split_submasks(S, profile.n)[0]] = _comp_weights(S, profile)
+    table, k = np.zeros(1 << profile.n), S.bit_count()
+    split_view(table, S)[(..., *[0] * k)] = _comp_weights(S, profile).reshape((2,) * (profile.n - k))
     return GeneralizedValueCoefficients(profile.n, S, "p", table)
 
 
 def _conversion_input(coeffs: GeneralizedValueCoefficients, kind: str, name: str):
-    # n, S and the split_submasks D and R of S, after checking the form and S
+    # n, S, |S| and the split_view of the table by S, after checking the form and S
     if coeffs.kind != kind:
         raise ValidationError(f"{name} expects a {kind}-form table")
     if coeffs.subset == 0:
         raise EmptySubset("generalized-value conversion needs a nonempty S")
-    return (coeffs.n, coeffs.subset, *split_submasks(coeffs.subset, coeffs.n))
+    return coeffs.n, coeffs.subset, coeffs.subset.bit_count(), split_view(coeffs.table, coeffs.subset)
 
 
 def gv_p_to_q(coeffs: GeneralizedValueCoefficients) -> GeneralizedValueCoefficients:
     """Convert p-form to q-form: q_R^S = sum_{T : R-S subseteq T subseteq N-S} p_T^S."""
-    n, S, D, R = _conversion_input(coeffs, "p", "gv_p_to_q")
-    # superset sums over the complement lattice
-    packed = axis_map(coeffs.table[D], [(1.0, 1.0, 0.0, 1.0)] * (n - S.bit_count()))
-    table = np.zeros(1 << n)
-    table[D[:, None] | R[1:]] = packed[:, None]  # row D: D | R for every R != 0
+    n, S, k, view = _conversion_input(coeffs, "p", "gv_p_to_q")
+    # superset sums over the complement lattice, on the face R = 0
+    packed = axis_map(view[(..., *[0] * k)].ravel(), [(1.0, 1.0, 0.0, 1.0)] * (n - k))
+    table = np.empty(1 << n)
+    out = split_view(table, S)
+    out[...] = packed.reshape((2,) * (n - k) + (1,) * k)  # row D: D | R for every R
+    out[(..., *[0] * k)] = 0.0  # off the support
     return GeneralizedValueCoefficients(n, S, "q", table)
 
 
@@ -304,17 +305,18 @@ def gv_q_to_p(coeffs: GeneralizedValueCoefficients) -> GeneralizedValueCoefficie
     The q-form must depend only on R - S; a spread above ``Q_FORM_TOL``
     within a class raises :class:`InvalidCoefficients` for the first such class.
     """
-    n, S, D, R = _conversion_input(coeffs, "q", "gv_q_to_p")
-    grid = coeffs.table[D[:, None] | R[1:]]  # row D: D | R for every R != 0
-    spread = grid.max(axis=1) - grid.min(axis=1)
-    k = int(np.argmax(spread > Q_FORM_TOL))
-    if spread[k] > Q_FORM_TOL:
+    n, S, k, view = _conversion_input(coeffs, "q", "gv_q_to_p")
+    spread = np.ptp(view.reshape(-1, 1 << k)[:, 1:], axis=1)  # row D: D | R for every R != 0
+    d = int(np.argmax(spread > Q_FORM_TOL))
+    if spread[d] > Q_FORM_TOL:
         raise InvalidCoefficients(
-            f"q values for R-S={int(D[k]):#b} spread by {spread[k]:.3e} > {Q_FORM_TOL}"
+            f"q values for R-S={int(submasks(((1 << n) - 1) & ~S)[d]):#b} "
+            f"spread by {spread[d]:.3e} > {Q_FORM_TOL}"
         )
-    # superset Mobius inversion over the complement lattice of q at R = D u S
+    # superset Mobius inversion over the complement lattice of q on the face R = S
     table = np.zeros(1 << n)
-    table[D] = axis_map(coeffs.table[D | S], [(1.0, -1.0, 0.0, 1.0)] * (n - S.bit_count()))
+    inverted = axis_map(view[(..., *[1] * k)].ravel(), [(1.0, -1.0, 0.0, 1.0)] * (n - k))
+    split_view(table, S)[(..., *[0] * k)] = inverted.reshape((2,) * (n - k))
     return GeneralizedValueCoefficients(n, S, "p", table)
 
 

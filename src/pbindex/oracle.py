@@ -16,7 +16,7 @@ meaningful evidence:
   fbar(x) = P_high(x)^T A P_low(x), with A the Mobius table as a matrix and
   P the subset products of x over each half.  It shares no code with the
   butterflies of the production routes: it gathers the masks outside S with
-  a scan of the lattice, not ``core.split_submasks``, and its row-wise
+  a scan of the lattice, not ``core.split_view``, and its row-wise
   subset products (``_point_products``) deliberately do not use
   ``core.product_table``.
 * :func:`diagonal_quadrature` and :func:`cube_average` integrate the
@@ -39,7 +39,7 @@ from .core import (
     mobius,
     s_difference,
     sigma_s,
-    split_submasks,
+    split_view,
     submasks,
     subset_products,
 )
@@ -199,9 +199,9 @@ def cube_average(f: PseudoBooleanFunction, S: Coalition) -> float:
     uniform profile.
     """
     check_mask(S, f.n)
-    D, R = split_submasks(S, f.n)
-    halves = 0.5 ** np.bitwise_count(D).astype(np.float64)
-    return _fsum_split(mobius(f).coeffs.take(D[:, None] | R[1:]) * halves[:, None], D, R[1:])
+    halves = 0.5 ** np.bitwise_count(np.arange(1 << (f.n - S.bit_count()))).astype(np.float64)
+    terms = split_view(mobius(f).coeffs, S).reshape(len(halves), -1)[:, 1:] * halves[:, None]
+    return _fsum_split(terms, S)
 
 
 # entries per product table in _eval_extension_batch (8 MB).  The tables of

@@ -12,10 +12,19 @@ from pbindex import (
     PseudoBooleanFunction,
     SumOverflow,
     ValidationError,
+    banzhaf_influence,
+    banzhaf_interaction,
     basis_function,
+    ben_or_linial_influence,
+    cube_average,
     eval_multilinear_extension,
+    gv_p_to_q,
+    gv_q_to_p,
+    index_report,
+    influence_value_coefficients,
     mobius,
     s_difference,
+    shapley_generalized_value,
     sigma_s,
     subsets_of,
     unanimity_game,
@@ -24,7 +33,7 @@ from pbindex import (
 )
 from pbindex import core
 from pbindex.core import axis_map, product_table, submasks, subset_products
-from pbindex.indices import _comp_weights
+from pbindex.indices import INFLUENCE_METHODS, _comp_weights
 from pbindex.oracle import _point_products
 from helpers import brute_mobius, brute_zeta, random_game
 
@@ -111,6 +120,51 @@ class TestSubmasks:
             arr = submasks(mask)
             assert arr.dtype == np.int64
             assert arr.tolist() == list(subsets_of(int(mask)))
+
+
+class TestSplitView:
+    # row d, column r of the grid: D_d | R_r, the ascending submasks of N - S and of S
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_grid_of_the_masks_is_the_split_of_the_lattice(self, n):
+        full = (1 << n) - 1
+        for S in (0, full, 1, 1 << (n - 1), int(np.random.default_rng(n).integers(1 << n))):
+            grid = core.split_view(np.arange(1 << n), S).reshape(-1, 1 << S.bit_count())
+            want = submasks(full & ~S)[:, None] | submasks(S)
+            assert grid.shape == want.shape
+            assert (grid == want).all()
+
+    def test_shares_memory_and_writes_through(self):
+        v = np.zeros(1 << 6)
+        S = 0b100110
+        view = core.split_view(v, S)
+        assert np.shares_memory(view, v)
+        view[..., 1, 1, 1] = 1.0  # the face R = S
+        assert np.flatnonzero(v).tolist() == [T for T in range(1 << 6) if T & S == S]
+
+    def test_routes_at_the_top_player_leave_the_frozen_tables_intact(self):
+        # at S = {n} a face is a contiguous half of the frozen table itself
+        n = 8
+        S = 1 << (n - 1)
+        f = random_game(np.random.default_rng(8), n)
+        p = ProbabilityProfile(np.random.default_rng(9).uniform(0.05, 0.95, n))
+        for bit in (0, 1):
+            face = core.split_view(f.values, S)[..., bit]
+            assert face.flags.c_contiguous and np.shares_memory(face, f.values)
+        q_form = gv_p_to_q(influence_value_coefficients(S, p))
+        kept = [t.copy() for t in (f.values, mobius(f).coeffs, p.weights(), q_form.table)]
+        banzhaf_interaction(f, S, p)
+        for method in INFLUENCE_METHODS:
+            banzhaf_influence(f, S, p, method)
+        shapley_generalized_value(f, S)
+        ben_or_linial_influence(f, S)
+        cube_average(f, S)
+        sigma_s(f, S)
+        s_difference(f, S)
+        gv_q_to_p(q_form)
+        index_report(f, p, [S, 0])
+        now = (f.values, mobius(f).coeffs, p.weights(), q_form.table)
+        assert [t.tobytes() for t in now] == [t.tobytes() for t in kept]
 
 
 # The doubling loops that product_table replaced, kept as references.

@@ -36,7 +36,7 @@ from pbindex import (
     unanimity_game,
 )
 from pbindex import indices
-from pbindex.core import split_submasks, submasks
+from pbindex.core import submasks
 from pbindex.measure import _fsum
 from pbindex.indices import INFLUENCE_METHODS
 from helpers import (
@@ -478,7 +478,7 @@ def _mask_test_g(T, S, p):
 
 def _mask_test_inner_product(f, S, p):
     # <f, g_{S,p}> on the support of g_{S,p}, every term's g by the mask tests
-    D, _ = split_submasks(S, f.n)
+    D = submasks(((1 << f.n) - 1) & ~S)
     T = np.concatenate([D | S, D])
     return _fsum(p.weights()[T] * f.values[T] * _mask_test_g(T, S, p))
 

@@ -9,6 +9,7 @@ from pbindex import (
     MobiusRepresentation,
     PseudoBooleanFunction,
     banzhaf_influence,
+    ben_or_linial_influence,
     best_k_approximation,
     best_s_approximation,
     cdf_integral_check,
@@ -22,6 +23,7 @@ from pbindex import (
     residual_norm,
     s_difference,
     shapley_generalized_value,
+    sigma_s,
     unanimity_game,
 )
 from pbindex import checks
@@ -229,6 +231,32 @@ def test_a_coefficient_table_checks_its_support_with_a_boolean_mask(call, bound)
     tracemalloc.start()
     try:
         influence_value_coefficients(S4, p) if call == "influence_value_coefficients" else gv_q_to_p(q_form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * TABLE_BYTES, f"{call} peaked at {peak / TABLE_BYTES:.2f} tables"
+
+
+@pytest.mark.parametrize(
+    "call, bound",
+    [("ben_or_linial_influence", 1.5), ("gv_q_to_p", 2.0), ("gv_p_to_q", 3.0), ("sigma_s", 2.5)],
+)
+def test_the_split_by_s_is_read_through_a_view(call, bound):
+    # the faces and the grid of core.split_view come with no int64 mask table:
+    # a call holds its float copies and its result
+    rng = np.random.default_rng(16)
+    f = random_game(rng, N)
+    p = random_profile(rng, N)
+    q_form = gv_p_to_q(influence_value_coefficients(S4, p))
+    calls = {
+        "ben_or_linial_influence": lambda: ben_or_linial_influence(f, S4),
+        "gv_q_to_p": lambda: gv_q_to_p(q_form),
+        "gv_p_to_q": lambda: gv_p_to_q(influence_value_coefficients(S4, p)),
+        "sigma_s": lambda: sigma_s(f, S4),
+    }
+    tracemalloc.start()
+    try:
+        calls[call]()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
