@@ -45,11 +45,7 @@ def check_players(n: int) -> None:
 
 
 def check_mask(mask: Coalition, n: int) -> None:
-    if (
-        not isinstance(mask, (int, np.integer))
-        or isinstance(mask, bool)
-        or not 0 <= mask < (1 << n)
-    ):
+    if not isinstance(mask, (int, np.integer)) or isinstance(mask, bool) or not 0 <= mask < 1 << n:
         raise ValidationError(f"coalition mask {mask!r} is not a subset of N for n={n}")
 
 
@@ -91,14 +87,21 @@ def submasks(mask: Coalition) -> np.ndarray:
 
 
 def split_view(v: np.ndarray, S: Coalition) -> np.ndarray:
-    """The 2**n table ``v`` as a (2,)*n view split by S; it writes through to ``v``.
-
-    The axes outside S come first, then those of S, each from the highest
-    player down: in C order entry (d, r) is v[D_d | R_r], for D_d and R_r the
-    ascending submasks of N - S and of S.  The last |S| axes all 0 are the
-    face R = 0, all 1 the face R = S; ``.reshape(-1, 2**|S|)`` is the grid."""
+    """The 2**n table ``v`` as a (2,)*n view that writes through to it: the axes of S, then
+    those outside S, each from the highest player down, so in C order entry (r, d) is
+    v[R_r | D_d] for R_r and D_d the ascending submasks of S and of N - S."""
     n = v.size.bit_length() - 1
-    return v.reshape((2,) * n).transpose(sorted(range(n), key=lambda a: S >> (n - 1 - a) & 1))
+    return v.reshape((2,) * n).transpose(sorted(range(n), key=lambda a: not S >> (n - 1 - a) & 1))
+
+
+def _face(v: np.ndarray, S: Coalition, bit: int) -> np.ndarray:
+    """The face R = S (bit 1) or R = 0 (bit 0) of :func:`split_view`: entry d is v[D_d | R]."""
+    return split_view(v, S)[(bit,) * S.bit_count() + (...,)]
+
+
+def _grid(v: np.ndarray, S: Coalition) -> np.ndarray:
+    """A fresh copy of :func:`split_view`, rows r by R_r and columns d by D_d: row 0 is R = 0."""
+    return np.array(split_view(v, S), order="C").reshape(1 << S.bit_count(), -1)
 
 
 def product_table(pairs: Sequence[tuple[float, float]]) -> np.ndarray:
@@ -268,8 +271,8 @@ def sigma_s(f: PseudoBooleanFunction, S: Coalition) -> PseudoBooleanFunction:
     :func:`s_difference`.
     """
     check_mask(S, f.n)
-    k, v, work = S.bit_count(), split_view(f.values, S), np.empty(1 << f.n)
-    split_view(work, S)[...] = (v[(..., *[1] * k)] - v[(..., *[0] * k)])[(..., *[None] * k)]
+    work = np.empty(1 << f.n)
+    split_view(work, S)[...] = _face(f.values, S, 1) - _face(f.values, S, 0)  # alike in R
     return PseudoBooleanFunction(f.n, work)
 
 

@@ -11,7 +11,7 @@ switch operator E[(sigma_S f)(C)], the inner product <f, g_{S,p}>, and a
 generalized value sum_{T subseteq N-S} p_T^S (f(T u S) - f(T)); all four routes
 are implemented and kept as first-class methods because their agreement is the
 whole point of the construction.  Every per-subset sum reads its terms
-T = D | R, D inside N - S and R inside S, from ``core.split_view``.
+T = R | D, R inside S and D inside N - S, from ``core._face`` or ``core._grid``.
 
 Also here: the Shapley generalized value, the Ben-Or-Linial influence, the
 conversions between the two coefficient forms of a generalized value, the
@@ -34,6 +34,8 @@ from .approx import best_s_approximation
 from .core import (
     Coalition,
     PseudoBooleanFunction,
+    _face,
+    _grid,
     axis_map,
     check_mask,
     mobius,
@@ -70,7 +72,7 @@ Q_FORM_TOL = 1e-12
 
 
 def _comp_weights(S: Coalition, profile: ProbabilityProfile) -> np.ndarray:
-    """Pr(C - S = D) = prod_{i in D} p_i prod_{i in N-S-D} (1-p_i), D as the rows of ``split_view``."""
+    """Pr(C - S = D) = prod_{i in D} p_i prod_{i in N-S-D} (1-p_i), D as in ``core._face``."""
     p = profile.p.tolist()
     return product_table([(1.0 - p[i], p[i]) for i in range(profile.n) if not S >> i & 1])
 
@@ -85,7 +87,7 @@ def banzhaf_interaction(
     """
     _check_same_n(profile, f)
     check_mask(S, f.n)
-    face = split_view(mobius(f).coeffs, S)[(..., *[1] * S.bit_count())]  # R = S
+    face = _face(mobius(f).coeffs, S, 1)  # R = S
     terms = subset_products([pi for i, pi in enumerate(profile.p.tolist()) if not S >> i & 1])
     terms = terms.reshape(face.shape)
     terms *= face  # in place: a table less at the peak
@@ -114,10 +116,10 @@ def _g_levels(S: Coalition, profile: ProbabilityProfile):
 
 
 def _influence_mobius(f, S, profile):
-    # sum over T = D | R meeting S (R != 0) of a(T) prod_{i in D} p_i, as in banzhaf_interaction
-    prods = subset_products([pi for i, pi in enumerate(profile.p.tolist()) if not S >> i & 1])
-    terms = split_view(mobius(f).coeffs, S).reshape(len(prods), -1)[:, 1:] * prods[:, None]
-    return _fsum_split(terms, S)  # the grid, a copy, is freed before the sum
+    # sum over T = R | D meeting S (R != 0) of a(T) prod_{i in D} p_i, as in banzhaf_interaction
+    grid = _grid(mobius(f).coeffs, S)
+    grid *= subset_products([pi for i, pi in enumerate(profile.p.tolist()) if not S >> i & 1])
+    return _fsum_split(grid, S)
 
 
 def _influence_projection(f, S, profile):
@@ -127,17 +129,15 @@ def _influence_projection(f, S, profile):
 
 
 def _influence_average(f, S, profile):
-    k, v = S.bit_count(), split_view(f.values, S)
-    return _fsum(_comp_weights(S, profile) * (v[(..., *[1] * k)] - v[(..., *[0] * k)]).ravel())
+    return _fsum(_comp_weights(S, profile) * (_face(f.values, S, 1) - _face(f.values, S, 0)).ravel())
 
 
 def _influence_inner_product(f, S, profile):
     # <f, g_{S,p}> on the support of g_{S,p} only, 1/p_S on the face R = S and -1/q_S on R = 0:
     # the dropped terms are exact zeros, so this is the dense sum bitwise (S = 0 cancels to 0.0)
-    k, w, v = S.bit_count(), split_view(profile.weights(), S), split_view(f.values, S)
-    inv_p, inv_q = _g_levels(S, profile)
-    faces = (((..., *[1] * k), inv_p), ((..., *[0] * k), -inv_q))
-    return _fsum(np.concatenate([(w[face] * v[face] * g).ravel() for face, g in faces]))
+    w, (inv_p, inv_q) = profile.weights(), _g_levels(S, profile)
+    halves = ((1, inv_p), (0, -inv_q))
+    return _fsum(np.concatenate([(_face(w, S, b) * _face(f.values, S, b) * g).ravel() for b, g in halves]))
 
 
 _INFLUENCE_DISPATCH = {
@@ -205,9 +205,9 @@ def shapley_generalized_value(f: PseudoBooleanFunction, S: Coalition) -> float:
     profile (p, ..., p).
     """
     check_mask(S, f.n)
-    divisors = np.bitwise_count(np.arange(1 << (f.n - S.bit_count()))) + 1.0  # |T - S| + 1 at row D
-    terms = split_view(mobius(f).coeffs, S).reshape(len(divisors), -1)[:, 1:] / divisors[:, None]
-    return _fsum_split(terms, S)
+    grid = _grid(mobius(f).coeffs, S)
+    grid /= np.bitwise_count(np.arange(grid.shape[1])) + 1.0  # |T - S| + 1: |D_d| is d's bit count
+    return _fsum_split(grid, S)
 
 
 def ben_or_linial_influence(f: PseudoBooleanFunction, S: Coalition) -> float:
@@ -219,7 +219,7 @@ def ben_or_linial_influence(f: PseudoBooleanFunction, S: Coalition) -> float:
     at the uniform profile.
     """
     check_mask(S, f.n)
-    spread = np.ptp(split_view(f.values, S).reshape(-1, 1 << S.bit_count()), axis=1)
+    spread = np.ptp(_grid(f.values, S), axis=0)
     return _fsum(spread) / float(len(spread))
 
 
@@ -251,7 +251,7 @@ class GeneralizedValueCoefficients:
         if not (isinstance(t, np.ndarray) and t.dtype == np.float64 and t.shape == (1 << self.n,)):
             raise ValidationError(f"{self.kind}-form table needs a float64 array of 2**{self.n}")
         meets = np.ones(1 << self.n, dtype=bool)
-        split_view(meets, self.subset)[(..., *[0] * self.subset.bit_count())] = False  # R = 0
+        _face(meets, self.subset, 0)[...] = False
         bad = ~np.isfinite(t) | ((meets if self.kind == "p" else ~meets) & (t != 0.0))
         if bad.any():
             k = int(np.argmax(bad))
@@ -273,29 +273,28 @@ def influence_value_coefficients(
     Nonnegative and summing to 1 over T subseteq N-S.
     """
     check_mask(S, profile.n)
-    table, k = np.zeros(1 << profile.n), S.bit_count()
-    split_view(table, S)[(..., *[0] * k)] = _comp_weights(S, profile).reshape((2,) * (profile.n - k))
+    table = np.zeros(1 << profile.n)
+    _face(table, S, 0)[...] = _comp_weights(S, profile).reshape((2,) * (profile.n - S.bit_count()))
     return GeneralizedValueCoefficients(profile.n, S, "p", table)
 
 
 def _conversion_input(coeffs: GeneralizedValueCoefficients, kind: str, name: str):
-    # n, S, |S| and the split_view of the table by S, after checking the form and S
+    # n, S, n - |S| and the table, after checking the form and S
     if coeffs.kind != kind:
         raise ValidationError(f"{name} expects a {kind}-form table")
     if coeffs.subset == 0:
         raise EmptySubset("generalized-value conversion needs a nonempty S")
-    return coeffs.n, coeffs.subset, coeffs.subset.bit_count(), split_view(coeffs.table, coeffs.subset)
+    return coeffs.n, coeffs.subset, coeffs.n - coeffs.subset.bit_count(), coeffs.table
 
 
 def gv_p_to_q(coeffs: GeneralizedValueCoefficients) -> GeneralizedValueCoefficients:
     """Convert p-form to q-form: q_R^S = sum_{T : R-S subseteq T subseteq N-S} p_T^S."""
-    n, S, k, view = _conversion_input(coeffs, "p", "gv_p_to_q")
+    n, S, m, p_form = _conversion_input(coeffs, "p", "gv_p_to_q")
     # superset sums over the complement lattice, on the face R = 0
-    packed = axis_map(view[(..., *[0] * k)].ravel(), [(1.0, 1.0, 0.0, 1.0)] * (n - k))
+    packed = axis_map(_face(p_form, S, 0).ravel(), [(1.0, 1.0, 0.0, 1.0)] * m)
     table = np.empty(1 << n)
-    out = split_view(table, S)
-    out[...] = packed.reshape((2,) * (n - k) + (1,) * k)  # row D: D | R for every R
-    out[(..., *[0] * k)] = 0.0  # off the support
+    split_view(table, S)[...] = packed.reshape((2,) * m)  # D: R | D for every R
+    _face(table, S, 0)[...] = 0.0  # off the support
     return GeneralizedValueCoefficients(n, S, "q", table)
 
 
@@ -305,18 +304,16 @@ def gv_q_to_p(coeffs: GeneralizedValueCoefficients) -> GeneralizedValueCoefficie
     The q-form must depend only on R - S; a spread above ``Q_FORM_TOL``
     within a class raises :class:`InvalidCoefficients` for the first such class.
     """
-    n, S, k, view = _conversion_input(coeffs, "q", "gv_q_to_p")
-    spread = np.ptp(view.reshape(-1, 1 << k)[:, 1:], axis=1)  # row D: D | R for every R != 0
+    n, S, m, q_form = _conversion_input(coeffs, "q", "gv_q_to_p")
+    spread = np.ptp(_grid(q_form, S)[1:], axis=0)  # column D: R | D for every R != 0
     d = int(np.argmax(spread > Q_FORM_TOL))
     if spread[d] > Q_FORM_TOL:
-        raise InvalidCoefficients(
-            f"q values for R-S={int(submasks(((1 << n) - 1) & ~S)[d]):#b} "
-            f"spread by {spread[d]:.3e} > {Q_FORM_TOL}"
-        )
+        D = int(submasks(((1 << n) - 1) & ~S)[d])
+        raise InvalidCoefficients(f"q values for R-S={D:#b} spread by {spread[d]:.3e} > {Q_FORM_TOL}")
     # superset Mobius inversion over the complement lattice of q on the face R = S
+    inverted = axis_map(_face(q_form, S, 1).ravel(), [(1.0, -1.0, 0.0, 1.0)] * m)
     table = np.zeros(1 << n)
-    inverted = axis_map(view[(..., *[1] * k)].ravel(), [(1.0, -1.0, 0.0, 1.0)] * (n - k))
-    split_view(table, S)[(..., *[0] * k)] = inverted.reshape((2,) * (n - k))
+    _face(table, S, 0)[...] = inverted.reshape((2,) * m)
     return GeneralizedValueCoefficients(n, S, "p", table)
 
 

@@ -26,10 +26,10 @@ from .core import (
     Coalition,
     MobiusRepresentation,
     PseudoBooleanFunction,
+    _grid,
     check_mask,
     mobius,
     product_table,
-    split_view,
     subset_products,
 )
 from .errors import DimensionError, DomainError, SumOverflow, ValidationError
@@ -164,14 +164,13 @@ def _fsum(terms: np.ndarray) -> float:
         ) from None
 
 
-def _fsum_split(terms: np.ndarray, S: Coalition) -> float:
-    # _fsum of the columns R != 0 of a core.split_view grid by S, in ascending order of T:
-    # the order changes only an intermediate overflow of math.fsum, so elsewhere the terms
-    # go in memory order, with no copy of a grid laid out by column
-    if float(max(terms.max(initial=0.0), -terms.min(initial=0.0))) * terms.size < _FSUM_SAFE:
-        return _fsum(terms.ravel(order="K"))
-    masks = split_view(np.arange(terms.size + len(terms)), S).reshape(len(terms), -1)[:, 1:]  # R != 0
-    return _fsum(terms.ravel()[np.argsort(masks, axis=None)])
+def _fsum_split(grid: np.ndarray, S: Coalition) -> float:
+    # _fsum of the rows R != 0 of a core._grid by S in ascending order of T: the order changes
+    # only an intermediate overflow of math.fsum, so the terms are sorted only where one can occur
+    terms = grid[1:].ravel()
+    if not float(max(terms.max(initial=0.0), -terms.min(initial=0.0))) * terms.size < _FSUM_SAFE:
+        terms = terms[np.argsort(_grid(np.arange(grid.size), S)[1:], axis=None)]
+    return _fsum(terms)
 
 
 def _scale_exponent(d: np.ndarray) -> int:

@@ -35,11 +35,11 @@ from .core import (
     Coalition,
     MobiusRepresentation,
     PseudoBooleanFunction,
+    _grid,
     check_mask,
     mobius,
     s_difference,
     sigma_s,
-    split_view,
     submasks,
     subset_products,
 )
@@ -199,9 +199,9 @@ def cube_average(f: PseudoBooleanFunction, S: Coalition) -> float:
     uniform profile.
     """
     check_mask(S, f.n)
-    halves = 0.5 ** np.bitwise_count(np.arange(1 << (f.n - S.bit_count()))).astype(np.float64)
-    terms = split_view(mobius(f).coeffs, S).reshape(len(halves), -1)[:, 1:] * halves[:, None]
-    return _fsum_split(terms, S)
+    grid = _grid(mobius(f).coeffs, S)
+    grid *= subset_products([0.5] * (f.n - S.bit_count()))  # prod_{i in D} 1/2, exact
+    return _fsum_split(grid, S)
 
 
 # entries per product table in _eval_extension_batch (8 MB).  The tables of

@@ -123,24 +123,37 @@ class TestSubmasks:
 
 
 class TestSplitView:
-    # row d, column r of the grid: D_d | R_r, the ascending submasks of N - S and of S
+    # row r, column d of the grid: R_r | D_d, the ascending submasks of S and of N - S
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_grid_of_the_masks_is_the_split_of_the_lattice(self, n):
         full = (1 << n) - 1
         for S in (0, full, 1, 1 << (n - 1), int(np.random.default_rng(n).integers(1 << n))):
-            grid = core.split_view(np.arange(1 << n), S).reshape(-1, 1 << S.bit_count())
-            want = submasks(full & ~S)[:, None] | submasks(S)
+            D = submasks(full & ~S)
+            grid = core.split_view(np.arange(1 << n), S).reshape(1 << S.bit_count(), -1)
+            want = submasks(S)[:, None] | D
             assert grid.shape == want.shape
             assert (grid == want).all()
+            assert (core._grid(np.arange(1 << n), S) == want).all()
+            assert core._face(np.arange(1 << n), S, 0).ravel().tolist() == D.tolist()
+            assert core._face(np.arange(1 << n), S, 1).ravel().tolist() == (D | S).tolist()
+            assert (np.bitwise_count(np.arange(D.size)) == np.bitwise_count(D)).all()  # |D_d|
 
     def test_shares_memory_and_writes_through(self):
         v = np.zeros(1 << 6)
         S = 0b100110
         view = core.split_view(v, S)
         assert np.shares_memory(view, v)
-        view[..., 1, 1, 1] = 1.0  # the face R = S
+        view[1, 1, 1] = 1.0  # the face R = S
         assert np.flatnonzero(v).tolist() == [T for T in range(1 << 6) if T & S == S]
+        core._face(v, S, 0)[...] = 2.0
+        assert np.flatnonzero(v == 2.0).tolist() == [T for T in range(1 << 6) if T & S == 0]
+
+    @pytest.mark.parametrize("S", [0, 0b1, 0b11000000, 0xFF, 0b10010110])
+    def test_the_grid_is_a_fresh_copy(self, S):
+        v = np.arange(1 << 8)
+        grid = core._grid(v, S)
+        assert grid.flags.c_contiguous and grid.flags.writeable and not np.shares_memory(grid, v)
 
     def test_routes_at_the_top_player_leave_the_frozen_tables_intact(self):
         # at S = {n} a face is a contiguous half of the frozen table itself
@@ -149,7 +162,7 @@ class TestSplitView:
         f = random_game(np.random.default_rng(8), n)
         p = ProbabilityProfile(np.random.default_rng(9).uniform(0.05, 0.95, n))
         for bit in (0, 1):
-            face = core.split_view(f.values, S)[..., bit]
+            face = core._face(f.values, S, bit)
             assert face.flags.c_contiguous and np.shares_memory(face, f.values)
         q_form = gv_p_to_q(influence_value_coefficients(S, p))
         kept = [t.copy() for t in (f.values, mobius(f).coeffs, p.weights(), q_form.table)]

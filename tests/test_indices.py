@@ -501,8 +501,8 @@ def _inner_product_case(rng, k):
 
 
 class TestInnerProductHalves:
-    # the inner-product route multiplies the gathered halves D | S and D by
-    # 1/p_S and -1/q_S; the reference tests the mask of every term
+    # the inner-product route multiplies the faces R = S and R = 0 of the split
+    # by 1/p_S and -1/q_S; the reference tests the mask of every term
 
     def test_matches_the_mask_test_formula_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(25)

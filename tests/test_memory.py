@@ -57,7 +57,7 @@ def test_traced_peak_stays_within_eight_tables(name):
 
 S4 = 0b1000_0100_0010_0001  # |S| = 4: the sums run over the 2**16 - 2**12 masks meeting S
 
-# the per-subset sums gather their terms from the split of the lattice by S
+# the per-subset sums copy their terms into one grid of the split of the lattice by S
 SPLIT_CALLS = {
     "banzhaf_influence": lambda f, p: banzhaf_influence(f, S4, p),
     "shapley_generalized_value": lambda f, p: shapley_generalized_value(f, S4),
@@ -81,8 +81,8 @@ def test_per_subset_sums_peak_within_three_and_a_half_tables(name):
 
 
 def test_inner_product_route_holds_the_two_gathered_halves():
-    # at |S| = 1 the halves D | S and D hold half a table each: D, the two
-    # halves and their concatenation, with no mask array or g values beside them
+    # at |S| = 1 the faces R = S and R = 0 hold half a table each: the two weighted
+    # halves and their concatenation, with no index or mask array or g values beside them
     rng = np.random.default_rng(16)
     f = random_game(rng, N)
     p = random_profile(rng, N)
