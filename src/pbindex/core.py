@@ -45,7 +45,11 @@ def check_players(n: int) -> None:
 
 
 def check_mask(mask: Coalition, n: int) -> None:
-    if not isinstance(mask, (int, np.integer)) or isinstance(mask, bool) or not 0 <= mask < 1 << n:
+    if (
+        not isinstance(mask, (int, np.integer))
+        or isinstance(mask, bool)
+        or not 0 <= mask < (1 << n)
+    ):
         raise ValidationError(f"coalition mask {mask!r} is not a subset of N for n={n}")
 
 
@@ -100,7 +104,8 @@ def _face(v: np.ndarray, S: Coalition, bit: int) -> np.ndarray:
 
 
 def _grid(v: np.ndarray, S: Coalition) -> np.ndarray:
-    """A fresh copy of :func:`split_view`, rows r by R_r and columns d by D_d: row 0 is R = 0."""
+    """A fresh copy of :func:`split_view`, rows r by R_r and columns d by D_d: row 0 is R = 0,
+    and |D_d| is the bit count of d."""
     return np.array(split_view(v, S), order="C").reshape(1 << S.bit_count(), -1)
 
 

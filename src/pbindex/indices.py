@@ -206,7 +206,7 @@ def shapley_generalized_value(f: PseudoBooleanFunction, S: Coalition) -> float:
     """
     check_mask(S, f.n)
     grid = _grid(mobius(f).coeffs, S)
-    grid /= np.bitwise_count(np.arange(grid.shape[1])) + 1.0  # |T - S| + 1: |D_d| is d's bit count
+    grid /= np.bitwise_count(np.arange(grid.shape[1])) + 1.0  # |T - S| + 1 = |D_d| + 1
     return _fsum_split(grid, S)
 
 

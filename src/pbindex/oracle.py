@@ -200,7 +200,7 @@ def cube_average(f: PseudoBooleanFunction, S: Coalition) -> float:
     """
     check_mask(S, f.n)
     grid = _grid(mobius(f).coeffs, S)
-    grid *= subset_products([0.5] * (f.n - S.bit_count()))  # prod_{i in D} 1/2, exact
+    grid *= 0.5 ** np.bitwise_count(np.arange(grid.shape[1])).astype(np.float64)  # (1/2)^|D_d|
     return _fsum_split(grid, S)
 
 
