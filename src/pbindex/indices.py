@@ -102,8 +102,11 @@ def g_function(S: Coalition, profile: ProbabilityProfile) -> PseudoBooleanFuncti
     """
     check_mask(S, profile.n)
     inv_p, inv_q = _g_levels(S, profile)
-    T = np.arange(1 << profile.n)
-    return PseudoBooleanFunction(profile.n, ((T & S) == S) * inv_p - ((T & S) == 0) * inv_q)
+    g = np.zeros(1 << profile.n)
+    if S:  # at S = 0 both faces are the whole table, where g is 1/p_S - 1/q_S = 0
+        _face(g, S, 1)[...] = inv_p
+        _face(g, S, 0)[...] = -inv_q
+    return PseudoBooleanFunction(profile.n, g)
 
 
 def _g_levels(S: Coalition, profile: ProbabilityProfile):

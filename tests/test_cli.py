@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -29,7 +30,7 @@ from pbindex.cli import (
     serialize_game,
     write_rows,
 )
-from pbindex.core import product_table
+from pbindex.core import mobius, product_table
 
 OR_DOC = {"version": 1, "n": 2, "values": [0, 1, 1, 1]}
 # worths of +-1.7e308, and a profile near the interior bound
@@ -138,8 +139,13 @@ class TestParseGame:
              "not valid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
              "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
             (b"[]", "game file must be a JSON object"),
+            # universal newlines: a byte decode without them reads line 1, column 38 here
+            (b'{"version": 1,\r"n": 1,\r"values": [0, ]}', "not valid JSON (line 3, column 15): Expecting value"),
+            (b'{"version": 1,\r\n"n": 1,\r\n"values": [0, ]}', "not valid JSON (line 3, column 15): Expecting value"),
+            (b'\xef\xbb\xbf{"version": 1, "n": 1, "values": [0, 1]}',
+             "not valid JSON (line 1, column 1): Unexpected UTF-8 BOM (decode using utf-8-sig)"),
         ],
-        ids=["nested", "utf16-bom", "trailing-byte", "int-digits", "array"],
+        ids=["nested", "utf16-bom", "trailing-byte", "int-digits", "array", "cr", "crlf", "utf8-bom"],
     )
     def test_files_json_cannot_read_are_parse_errors(self, tmp_path, capsys, content, message):
         path = tmp_path / "game.json"
@@ -157,6 +163,51 @@ class TestParseGame:
         serialize_game(game, path)
         again = parse_game(path)
         assert np.array_equal(game.values, again.values)
+
+
+class TestParseCache:
+    # parse_game keeps the game last parsed from a path, keyed by the file's bytes
+
+    def test_the_same_bytes_at_two_paths_share_one_game_and_its_mobius_table(self, tmp_path):
+        one = parse_game(write_game(tmp_path, OR_DOC, "a.json"))
+        coeffs = mobius(one)
+        two = parse_game(write_game(tmp_path, OR_DOC, "b.json"))
+        assert two is one and mobius(two) is coeffs
+
+    def test_a_file_rewritten_with_other_bytes_of_the_same_size_and_mtime_is_parsed_again(self, tmp_path):
+        path = write_game(tmp_path, {"version": 1, "n": 1, "values": [1, 2]})
+        assert parse_game(path).values.tolist() == [1, 2]
+        before = os.stat(path)
+        write_game(tmp_path, {"version": 1, "n": 1, "values": [3, 4]})
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert parse_game(path).values.tolist() == [3, 4]
+
+    @pytest.mark.parametrize(
+        "doc, error, message",
+        [
+            ({"version": 1, "n": 1, "values": [0, "x"]}, ParseError, "game table needs numeric entries: entry 1 is 'x'"),
+            ({"version": 1, "n": 1, "values": [0, 1, 2]}, ValidationError,
+             "game table needs exactly 2**1 = 2 entries, got shape (3,)"),
+        ],
+    )
+    def test_a_failing_file_fails_alike_on_every_call_and_drops_the_kept_game(self, tmp_path, doc, error, message):
+        good = write_game(tmp_path, OR_DOC, "good.json")
+        kept = parse_game(good)
+        bad = write_game(tmp_path, doc, "bad.json")
+        for _ in range(2):
+            with pytest.raises(error) as caught:
+                parse_game(bad)
+            assert str(caught.value) == message
+        assert parse_game(good) is not kept
+
+    def test_a_stream_is_parsed_every_time_and_leaves_the_kept_game(self, tmp_path):
+        path = write_game(tmp_path, OR_DOC)
+        kept = parse_game(path)
+        one, two = (parse_game(io.StringIO(json.dumps(OR_DOC))) for _ in range(2))
+        assert one is not two and kept not in (one, two)
+        assert parse_game(path) is kept
 
 
 class TestSelectors:

@@ -1,5 +1,6 @@
 """Dense results cost a few 2**n tables, not a Python object per coalition."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from pbindex import (
     cdf_integral_check,
     cube_average,
     eval_multilinear_extension,
+    g_function,
     gv_p_to_q,
     gv_q_to_p,
     influence_value_coefficients,
@@ -27,6 +29,7 @@ from pbindex import (
     unanimity_game,
 )
 from pbindex import checks
+from pbindex.games import parse_game, serialize_game
 from helpers import random_game, random_profile
 
 N = 16
@@ -274,3 +277,53 @@ def test_s_difference_of_the_grand_coalition_holds_one_table():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * TABLE_BYTES, f"s_difference peaked at {peak / TABLE_BYTES:.2f} tables"
+
+
+@pytest.mark.parametrize("S", [0, S4, (1 << N) - 1])
+def test_the_contrast_function_writes_its_two_faces_into_one_table(S):
+    # a zero table with 1/p_S on the masks containing S and -1/q_S on those
+    # missing it, and the game's frozen copy: no mask or int64 table beside them
+    p = random_profile(np.random.default_rng(16), N)
+    tracemalloc.start()
+    try:
+        g = g_function(S, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    T = np.arange(1 << N)
+    inv_p = math.prod(1.0 / p.p[i] for i in range(N) if S >> i & 1)
+    inv_q = math.prod(1.0 / (1.0 - p.p[i]) for i in range(N) if S >> i & 1)
+    assert g.values.tobytes() == (((T & S) == S) * inv_p - ((T & S) == 0) * inv_q).tobytes()
+    assert peak <= 2.25 * TABLE_BYTES, f"g_function peaked at {peak / TABLE_BYTES:.2f} tables"
+
+
+def test_a_parse_from_a_path_keeps_only_the_last_game(tmp_path):
+    large, small = tmp_path / "large.json", tmp_path / "small.json"
+    serialize_game(random_game(np.random.default_rng(16), N), large)
+    serialize_game(random_game(np.random.default_rng(2), 2), small)
+    tracemalloc.start()
+    try:
+        parse_game(large)
+        kept = tracemalloc.get_traced_memory()[0]
+        parse_game(small)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept >= TABLE_BYTES > after, f"{kept / TABLE_BYTES:.2f} then {after / TABLE_BYTES:.2f} tables kept"
+
+
+def test_a_parse_that_misses_peaks_with_the_text_and_the_list_of_worths(tmp_path):
+    # at n = 16 the file's text is 2.6 tables and json.loads' list of floats 4:
+    # the file's bytes are released before the list is built (6.68 tables when
+    # the file was read in text mode; 9.3 with the bytes kept through the parse)
+    large, small = tmp_path / "large.json", tmp_path / "small.json"
+    serialize_game(random_game(np.random.default_rng(16), N), large)
+    serialize_game(random_game(np.random.default_rng(2), 2), small)
+    parse_game(small)
+    tracemalloc.start()
+    try:
+        parse_game(large)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.81 * TABLE_BYTES, f"the parse peaked at {peak / TABLE_BYTES:.2f} tables"
