@@ -103,14 +103,14 @@ def parse_game(source: Union[str, Path, TextIO]) -> PseudoBooleanFunction:
     data = digest = None
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
-        digest = hashlib.sha256(data).digest()
-        if _last_parsed is not None and _last_parsed[0] == digest:
-            return _last_parsed[1]
-        _last_parsed = None  # before the parse, so that a miss never holds two games
+        digest, kept = hashlib.sha256(data).digest(), _last_parsed  # read once: a thread may replace it
+        if kept is not None and kept[0] == digest:
+            return kept[1]
+        _last_parsed = kept = None  # before the parse, so that a miss never holds two games
     try:
         text = (source.read() if data is None
                 else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
-        data = None  # released before json.loads builds its list
+        data = None  # the bytes go before json.loads builds its list, the text after it
         doc = json.loads(text)
         del text
     except json.JSONDecodeError as exc:

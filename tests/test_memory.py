@@ -312,17 +312,19 @@ def test_a_parse_from_a_path_keeps_only_the_last_game(tmp_path):
     assert kept >= TABLE_BYTES > after, f"{kept / TABLE_BYTES:.2f} then {after / TABLE_BYTES:.2f} tables kept"
 
 
-def test_a_parse_that_misses_peaks_with_the_text_and_the_list_of_worths(tmp_path):
+def test_a_parse_that_misses_drops_the_kept_game_and_peaks_with_the_text_and_the_list(tmp_path):
     # at n = 16 the file's text is 2.6 tables and json.loads' list of floats 4:
-    # the file's bytes are released before the list is built (6.68 tables when
-    # the file was read in text mode; 9.3 with the bytes kept through the parse)
-    large, small = tmp_path / "large.json", tmp_path / "small.json"
-    serialize_game(random_game(np.random.default_rng(16), N), large)
-    serialize_game(random_game(np.random.default_rng(2), 2), small)
-    parse_game(small)
+    # a text-mode read of the file peaked at 6.68 tables; the kept game (one
+    # table) is dropped before the parse and the file's bytes (2.6 tables)
+    # are released before the list is built
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    serialize_game(random_game(np.random.default_rng(16), N), one)
+    serialize_game(random_game(np.random.default_rng(17), N), two)
     tracemalloc.start()
     try:
-        parse_game(large)
+        parse_game(one)
+        tracemalloc.reset_peak()
+        parse_game(two)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
