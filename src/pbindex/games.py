@@ -95,7 +95,7 @@ def parse_game(source: Union[str, Path, TextIO]) -> PseudoBooleanFunction:
     A path is read as bytes and decoded as ``open(path, encoding="utf-8")``
     would decode it.  The game last parsed from a path is kept, keyed by the
     SHA-256 of its bytes: a path with the same bytes returns that frozen game,
-    and its cached Mobius table, for a read and a hash (about 23 ms at n = 20).
+    and its cached Mobius table, for a read and a hash (about 20 ms at n = 20).
     A path with other bytes drops it before parsing; a stream or a failed
     parse is not kept.
     """
