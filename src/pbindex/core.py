@@ -146,7 +146,14 @@ def _as_table(values, n: int, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{what} contains non-finite entries")
     arr.setflags(write=False)
-    return arr
+    return arr.view()  # numpy refuses to make a view of a frozen array writeable
+
+
+def _write_once(obj, name: str, *value) -> None:
+    # __setattr__ and __delattr__ of the shared frozen classes: set a slot while None
+    if getattr(obj, name, None) is not None or not value:
+        raise AttributeError(f"{type(obj).__name__}.{name} is read-only")
+    object.__setattr__(obj, name, *value)
 
 
 class PseudoBooleanFunction:
@@ -157,6 +164,7 @@ class PseudoBooleanFunction:
     """
 
     __slots__ = ("n", "values", "_mobius_cache")
+    __setattr__ = __delattr__ = _write_once
 
     def __init__(self, n: int, values):
         check_players(n)
@@ -172,6 +180,7 @@ class MobiusRepresentation:
     """Mobius coefficients a(T): the game equals sum_T a(T) * u_T."""
 
     __slots__ = ("n", "coeffs")
+    __setattr__ = __delattr__ = _write_once
 
     def __init__(self, n: int, coeffs):
         check_players(n)

@@ -81,8 +81,9 @@ def _expand_random(spec: dict, n: Optional[int]) -> PseudoBooleanFunction:
     return PseudoBooleanFunction(n, values)
 
 
-# (SHA-256 of a game file's bytes, its game): the last game parsed from a path
+# (SHA-256 of a file's bytes, its game) last parsed from a path, from a process's second path on
 _last_parsed: Optional[tuple[bytes, PseudoBooleanFunction]] = None
+_keying = False
 
 
 def parse_game(source: Union[str, Path, TextIO]) -> PseudoBooleanFunction:
@@ -92,27 +93,24 @@ def parse_game(source: Union[str, Path, TextIO]) -> PseudoBooleanFunction:
     not JSON numbers (strings, booleans), and :class:`ValidationError` on
     structurally invalid tables (wrong length, n > 24, non-finite values).
 
-    A path is read as bytes and decoded as ``open(path, encoding="utf-8")``
-    would decode it.  The game last parsed from a path is kept, keyed by the
-    SHA-256 of its bytes: a path with the same bytes returns that frozen game,
-    and its cached Mobius table, for a read and a hash (about 20 ms at n = 20).
-    A path with other bytes drops it before parsing; a stream or a failed
-    parse is not kept.
+    From a process's second path on, the game last parsed from a path is kept,
+    keyed by the SHA-256 of the file's bytes: the same bytes return that frozen
+    game and its Mobius table, other bytes drop it before parsing.
     """
-    global _last_parsed
+    global _last_parsed, _keying
     data = digest = None
     if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-        digest, kept = hashlib.sha256(data).digest(), _last_parsed  # read once: a thread may replace it
-        if kept is not None and kept[0] == digest:
-            return kept[1]
-        _last_parsed = kept = None  # before the parse, so that a miss never holds two games
+        data = Path(source).read_bytes()  # decoded below as open(source, encoding="utf-8") decodes
+        if _keying:
+            digest, kept = hashlib.sha256(data).digest(), _last_parsed  # read once: a thread may replace it
+            if kept is not None and kept[0] == digest:
+                return kept[1]
+            _last_parsed = kept = None  # before the parse, so that a miss never holds two games
+        _keying = True
     try:
-        text = (source.read() if data is None
-                else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+        text = source.read() if data is None else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
         data = None  # the bytes go before json.loads builds its list, the text after it
-        doc = json.loads(text)
-        del text
+        doc, text = json.loads(text), None
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
     except UnicodeDecodeError as exc:
@@ -121,13 +119,6 @@ def parse_game(source: Union[str, Path, TextIO]) -> PseudoBooleanFunction:
         raise ParseError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("not valid JSON: nested too deeply") from exc
-    game = _game_from_doc(doc)
-    if digest is not None:
-        _last_parsed = (digest, game)
-    return game
-
-
-def _game_from_doc(doc) -> PseudoBooleanFunction:
     if not isinstance(doc, dict):
         raise ParseError("game file must be a JSON object")
     version = doc.get("version", GAME_FORMAT_VERSION)
@@ -146,16 +137,18 @@ def _game_from_doc(doc) -> PseudoBooleanFunction:
         if not set(map(type, values)) <= {int, float}:  # JSON numbers; bool is not one
             k, bad = next((k, v) for k, v in enumerate(values) if type(v) not in (int, float))
             raise ParseError(f"game table needs numeric entries: entry {k} is {bad!r}")
-        return PseudoBooleanFunction(n, values)
-    if "weighted_voting" in doc:
-        return _expand_weighted_voting(doc["weighted_voting"])
-    if "unanimity" in doc:
-        return _expand_unanimity(doc["unanimity"], n)
-    if "random" in doc:
-        return _expand_random(doc["random"], n)
-    raise ParseError(
-        "game file needs one of 'values', 'weighted_voting', 'unanimity', 'random'"
-    )
+        game = PseudoBooleanFunction(n, values)
+    elif "weighted_voting" in doc:
+        game = _expand_weighted_voting(doc["weighted_voting"])
+    elif "unanimity" in doc:
+        game = _expand_unanimity(doc["unanimity"], n)
+    elif "random" in doc:
+        game = _expand_random(doc["random"], n)
+    else:
+        raise ParseError("game file needs one of 'values', 'weighted_voting', 'unanimity', 'random'")
+    if digest is not None:
+        _last_parsed = (digest, game)
+    return game
 
 
 def serialize_game(f: PseudoBooleanFunction, dest: Union[str, Path, TextIO]) -> None:

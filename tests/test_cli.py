@@ -165,8 +165,35 @@ class TestParseGame:
         assert np.array_equal(game.values, again.values)
 
 
+@pytest.mark.usefixtures("parse_cache")
 class TestParseCache:
     # parse_game keeps the game last parsed from a path, keyed by the file's bytes
+
+    def test_a_process_keys_paths_from_its_second_parse(self, tmp_path, parse_cache):
+        parse_cache._keying = False  # as in a fresh process: its first parse has nothing to reuse
+        path = write_game(tmp_path, OR_DOC)
+        one = parse_game(path)
+        assert parse_cache._last_parsed is None
+        two = parse_game(path)
+        assert two is not one and parse_game(path) is two
+
+    def test_a_kept_game_cannot_be_changed(self, tmp_path):
+        path = write_game(tmp_path, OR_DOC)
+        game = parse_game(path)
+        coeffs = mobius(game)
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+            game.values.setflags(write=True)
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+            coeffs.coeffs.setflags(write=True)
+        for obj, name, value in [(game, "n", 3), (game, "values", np.zeros(4)), (game, "_mobius_cache", None),
+                                 (coeffs, "n", 3), (coeffs, "coeffs", np.zeros(4))]:
+            with pytest.raises(AttributeError, match=f"{type(obj).__name__}.{name} is read-only"):
+                setattr(obj, name, value)
+            with pytest.raises(AttributeError, match="is read-only"):
+                delattr(obj, name)
+        again = parse_game(path)
+        assert again is game and again.n == 2 and again.values.tolist() == OR_DOC["values"]
+        assert mobius(again) is coeffs and coeffs.coeffs.tolist() == [0.0, 1.0, 1.0, -1.0]
 
     def test_the_same_bytes_at_two_paths_share_one_game_and_its_mobius_table(self, tmp_path):
         one = parse_game(write_game(tmp_path, OR_DOC, "a.json"))

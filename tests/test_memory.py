@@ -297,6 +297,7 @@ def test_the_contrast_function_writes_its_two_faces_into_one_table(S):
     assert peak <= 2.25 * TABLE_BYTES, f"g_function peaked at {peak / TABLE_BYTES:.2f} tables"
 
 
+@pytest.mark.usefixtures("parse_cache")
 def test_a_parse_from_a_path_keeps_only_the_last_game(tmp_path):
     large, small = tmp_path / "large.json", tmp_path / "small.json"
     serialize_game(random_game(np.random.default_rng(16), N), large)
@@ -312,6 +313,7 @@ def test_a_parse_from_a_path_keeps_only_the_last_game(tmp_path):
     assert kept >= TABLE_BYTES > after, f"{kept / TABLE_BYTES:.2f} then {after / TABLE_BYTES:.2f} tables kept"
 
 
+@pytest.mark.usefixtures("parse_cache")
 def test_a_parse_that_misses_drops_the_kept_game_and_peaks_with_the_text_and_the_list(tmp_path):
     # at n = 16 the file's text is 2.6 tables and json.loads' list of floats 4:
     # a text-mode read of the file peaked at 6.68 tables; the kept game (one
